@@ -16,14 +16,18 @@
  * ground.
  *
  * Writes BENCH_engine.json (override with --out). Scale the budget
- * with --instructions N or DAS_SIM_SCALE.
+ * with --instructions N or DAS_SIM_SCALE. With --repeat N each engine
+ * runs N times per workload (tick and event alternating) and every
+ * row reports the median wall time with the min/max spread.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -73,9 +77,55 @@ profileFor(const std::string &name)
 struct EngineSample
 {
     double seconds = 0.0;
-    double cyclesPerSec = 0.0; ///< simulated CPU cycles / wall second
     RunMetrics metrics;
 };
+
+/** Wall times of one engine's repeated runs of one workload. */
+struct EngineTimes
+{
+    std::vector<double> seconds;
+
+    double
+    median() const
+    {
+        std::vector<double> v = seconds;
+        std::sort(v.begin(), v.end());
+        const std::size_t n = v.size();
+        return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+    }
+
+    double
+    min() const
+    {
+        return *std::min_element(seconds.begin(), seconds.end());
+    }
+
+    double
+    max() const
+    {
+        return *std::max_element(seconds.begin(), seconds.end());
+    }
+};
+
+/** Simulated CPU cycles per wall second. */
+double
+rate(std::uint64_t cycles, double seconds)
+{
+    return seconds > 0.0 ? static_cast<double>(cycles) / seconds : 0.0;
+}
+
+/** JSON object for one engine: median seconds and cycles/sec, and the
+ *  cycles/sec range over the repeats (min rate = slowest run). */
+std::string
+engineJson(const EngineTimes &t, std::uint64_t cycles)
+{
+    std::ostringstream os;
+    os << "{\"seconds\": " << t.median()
+       << ", \"cycles_per_sec\": " << rate(cycles, t.median())
+       << ", \"cycles_per_sec_min\": " << rate(cycles, t.max())
+       << ", \"cycles_per_sec_max\": " << rate(cycles, t.min()) << "}";
+    return os.str();
+}
 
 EngineSample
 timeOne(const std::string &bench, SimConfig cfg, SimEngine engine)
@@ -90,15 +140,12 @@ timeOne(const std::string &bench, SimConfig cfg, SimEngine engine)
     RunMetrics m = sys.run();
     auto t1 = std::chrono::steady_clock::now();
 
-    EngineSample s;
-    s.seconds = std::chrono::duration<double>(t1 - t0).count();
     // Throughput over the whole run: both engines simulate the exact
     // same cycle count, so the speedup below reduces to the wall-time
     // ratio; cycles/sec makes the absolute rates comparable across
     // machines.
-    s.cyclesPerSec = s.seconds > 0.0
-                         ? static_cast<double>(m.cpuCycles) / s.seconds
-                         : 0.0;
+    EngineSample s;
+    s.seconds = std::chrono::duration<double>(t1 - t0).count();
     s.metrics = std::move(m);
     return s;
 }
@@ -121,6 +168,7 @@ main(int argc, char **argv)
 {
     std::string out_path = "BENCH_engine.json";
     InstCount instructions = 0; // 0 = default budget (scaled)
+    unsigned repeat = 1;
     std::vector<std::string> benches{"idle", "mcf", "milc",
                                      "cactusADM"};
 
@@ -138,18 +186,25 @@ main(int argc, char **argv)
                 need_value("--instructions").c_str(), nullptr, 10);
             if (instructions == 0)
                 fatal("--instructions needs a positive integer");
+        } else if (arg == "--repeat") {
+            repeat = static_cast<unsigned>(std::strtoul(
+                need_value("--repeat").c_str(), nullptr, 10));
+            if (repeat == 0)
+                fatal("--repeat needs a positive integer");
         } else if (arg == "--workload") {
             benches = {need_value("--workload")};
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: %s [--out FILE] [--instructions N] "
-                "[--workload NAME]\n"
+                "[--workload NAME] [--repeat N]\n"
                 "  --out FILE        JSON report path (default "
                 "BENCH_engine.json)\n"
                 "  --instructions N  per-core budget (default 4M, "
                 "scaled by DAS_SIM_SCALE)\n"
                 "  --workload NAME   bench a single workload (a SPEC "
-                "profile or 'idle')\n",
+                "profile or 'idle')\n"
+                "  --repeat N        runs per engine and workload; rows "
+                "report the median and min/max (default 1)\n",
                 argv[0]);
             return 0;
         } else {
@@ -182,10 +237,18 @@ main(int argc, char **argv)
                 std::min<InstCount>(cfg.instructionsPerCore, 50'000);
             (void)timeOne(bench, warm, SimEngine::Tick);
         }
-        EngineSample tick = timeOne(bench, cfg, SimEngine::Tick);
-        EngineSample event = timeOne(bench, cfg, SimEngine::Event);
+        EngineSample tick, event;
+        EngineTimes tick_t, event_t;
+        bool same = true;
+        for (unsigned r = 0; r < repeat; ++r) {
+            tick = timeOne(bench, cfg, SimEngine::Tick);
+            event = timeOne(bench, cfg, SimEngine::Event);
+            tick_t.seconds.push_back(tick.seconds);
+            event_t.seconds.push_back(event.seconds);
+            same = same && agree(tick.metrics, event.metrics);
+        }
 
-        if (!agree(tick.metrics, event.metrics)) {
+        if (!same) {
             warn("engine metrics diverge on '{}' — run "
                  "`ctest -L differential` and dasdram_fuzz "
                  "--differential",
@@ -193,33 +256,35 @@ main(int argc, char **argv)
             all_agree = false;
         }
 
-        double speedup = tick.seconds > 0.0 && event.seconds > 0.0
-                             ? tick.seconds / event.seconds
-                             : 0.0;
+        const std::uint64_t cycles = tick.metrics.cpuCycles;
+        const double speedup = tick_t.median() / event_t.median();
         double ipc = tick.metrics.ipc.empty() ? 0.0 : tick.metrics.ipc[0];
+        auto median = [&](const EngineTimes &t) {
+            return benchutil::num(rate(cycles, t.median()) / 1e6, 2);
+        };
+        auto range = [&](const EngineTimes &t) {
+            return benchutil::num(rate(cycles, t.max()) / 1e6, 2) + "-" +
+                   benchutil::num(rate(cycles, t.min()) / 1e6, 2);
+        };
 
-        table.row({bench, benchutil::num(tick.cyclesPerSec / 1e6, 2),
-                   benchutil::num(event.cyclesPerSec / 1e6, 2),
-                   benchutil::num(speedup, 2),
+        table.row({bench, median(tick_t), range(tick_t), median(event_t),
+                   range(event_t), benchutil::num(speedup, 2),
                    benchutil::num(tick.metrics.mpki(), 1),
                    benchutil::num(ipc, 2)});
 
         os << "{\"bench\": \"engine\", \"workload\": \"" << bench
            << "\", \"instructions\": " << cfg.instructionsPerCore
-           << ", \"cpu_cycles\": " << tick.metrics.cpuCycles
-           << ", \"tick\": {\"seconds\": " << tick.seconds
-           << ", \"cycles_per_sec\": " << tick.cyclesPerSec
-           << "}, \"event\": {\"seconds\": " << event.seconds
-           << ", \"cycles_per_sec\": " << event.cyclesPerSec
-           << "}, \"speedup\": " << speedup
+           << ", \"cpu_cycles\": " << cycles << ", \"repeat\": " << repeat
+           << ", \"tick\": " << engineJson(tick_t, cycles)
+           << ", \"event\": " << engineJson(event_t, cycles)
+           << ", \"speedup\": " << speedup
            << ", \"mpki\": " << tick.metrics.mpki()
-           << ", \"metrics_identical\": "
-           << (agree(tick.metrics, event.metrics) ? "true" : "false")
+           << ", \"metrics_identical\": " << (same ? "true" : "false")
            << "}\n";
     }
 
-    table.print({"workload", "tick Mcyc/s", "event Mcyc/s", "speedup",
-                 "MPKI", "IPC"});
+    table.print({"workload", "tick Mcyc/s", "tick min-max", "event Mcyc/s",
+                 "event min-max", "speedup", "MPKI", "IPC"});
     std::printf("\nwrote %s\n", out_path.c_str());
     return all_agree ? 0 : 1;
 }

@@ -13,9 +13,12 @@
 
 #include "cache/cache.hh"
 #include "core/translation_cache.hh"
+#include "cpu/core.hh"
 #include "core/translation_table.hh"
 #include "dram/address_mapping.hh"
 #include "dram/controller.hh"
+#include "mem/clock.hh"
+#include "workload/spec_profiles.hh"
 #include "workload/synth_trace.hh"
 
 using namespace dasdram;
@@ -92,6 +95,48 @@ BM_CacheAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheAccess);
+
+/** LLC lookups of random lines over twice its capacity (about half
+ *  miss and refill, as under a memory-bound workload): the tag scan's
+ *  host-cache footprint dominates. */
+static void
+BM_CacheAccessRandomLlc(benchmark::State &state)
+{
+    Cache c({4 * MiB, 8, 64}, "llc");
+    for (Addr a = 0; a < 4 * MiB; a += 64)
+        c.insert(a, false);
+    std::uint64_t x = 88172645463325252ull; // xorshift64 state
+    for (auto _ : state) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const Addr a = (x % (8 * MiB / 64)) * 64;
+        if (!c.access(a, false))
+            benchmark::DoNotOptimize(c.insert(a, false));
+    }
+}
+BENCHMARK(BM_CacheAccessRandomLlc);
+
+/** One core running the cactusADM profile against ideal memory (every
+ *  load completes on dispatch): the ROB retire/dispatch path alone. */
+static void
+BM_CoreTickComputeBound(benchmark::State &state)
+{
+    SyntheticTrace trace(specProfile("cactusADM"), 42);
+    Core *core_ptr = nullptr;
+    Cycle now = 0;
+    Core core(0, {}, trace, [&](Addr, bool, unsigned slot) {
+        if (slot != Core::kNoSlot)
+            core_ptr->completeLoad(slot, now);
+    });
+    core_ptr = &core;
+    for (auto _ : state) {
+        core.tick(now);
+        now += kCpuTick;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(core.retired()));
+}
+BENCHMARK(BM_CoreTickComputeBound);
 
 static void
 BM_SyntheticTraceGeneration(benchmark::State &state)

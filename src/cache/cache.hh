@@ -104,21 +104,32 @@ class Cache
     StatGroup &stats() { return statGroup_; }
 
   private:
-    struct Line
+    /** Index of the first way of @p line's set in the tag arrays. */
+    std::size_t
+    setBase(Addr line) const
     {
-        Addr tag = kAddrInvalid;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t stamp = 0; ///< LRU recency
-    };
+        return static_cast<std::size_t>((line >> lineShift_) & setMask_) *
+               cfg_.assoc;
+    }
 
-    std::uint64_t setIndex(Addr line) const;
-    Line *find(Addr line);
-    const Line *find(Addr line) const;
+    /** Way index of @p line in the tag arrays, or kNoWay on a miss. */
+    std::size_t find(Addr line) const;
+
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
 
     CacheConfig cfg_;
     std::string name_;
-    std::vector<Line> lines_; ///< [set * assoc + way]
+    unsigned lineShift_ = 0;    ///< log2(lineBytes)
+    std::uint64_t setMask_ = 0; ///< numSets - 1
+
+    /**
+     * Per-way state as parallel arrays indexed [set * assoc + way], so
+     * a lookup scans only the set's tags. A tag of kAddrInvalid marks
+     * an empty way (line addresses are aligned, so never equal it).
+     */
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> stamps_; ///< LRU recency
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t stampCounter_ = 0;
     Rng rng_;
 

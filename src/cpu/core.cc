@@ -10,7 +10,8 @@ namespace dasdram
 Core::Core(int id, const CoreConfig &cfg, TraceSource &trace,
            MemAccessFn mem)
     : id_(id), cfg_(cfg), trace_(&trace), mem_(std::move(mem)),
-      window_(cfg.robSize), statGroup_("core" + std::to_string(id))
+      window_(cfg.robSize), loadSeqs_(cfg.robSize),
+      statGroup_("core" + std::to_string(id))
 {
     if (cfg.robSize == 0 || cfg.issueWidth == 0)
         fatal("core{}: ROB size and issue width must be positive", id);
@@ -41,35 +42,24 @@ void
 Core::dispatchOne(Cycle now)
 {
     const unsigned slot_index = tail_;
-    Slot &slot = window_[tail_];
-    tail_ = (tail_ + 1) % cfg_.robSize;
+    tail_ = wrap(tail_ + 1);
     ++windowCount_;
 
-    if (gapLeft_ > 0) {
-        --gapLeft_;
-        slot = Slot{};
-        slot.doneAtTick = now;
+    const Addr addr = pending_.addr;
+    const bool is_write = pending_.isWrite;
+    havePending_ = false;
+    if (is_write) {
+        stores_.inc(); // stores retire via the store buffer
+        mem_(addr, true, kNoSlot);
         return;
     }
-
-    // The memory instruction of the pending record.
-    slot.isMem = true;
-    slot.isLoad = !pending_.isWrite;
-    slot.done = !slot.isLoad; // stores retire via the store buffer
-    slot.doneAtTick = now;
-    (slot.isLoad ? loads_ : stores_).inc();
-    if (slot.isLoad) {
-        while (!loadSeqs_.empty() && loadSeqs_.front() < retiredAbs_)
-            loadSeqs_.pop_front();
-        // The slot just written is the newest window entry.
-        loadSeqs_.push_back(retiredAbs_ + windowCount_ - 1);
-    }
-
-    Addr addr = pending_.addr;
-    bool is_write = pending_.isWrite;
-    havePending_ = false;
-
-    mem_(addr, is_write, slot.isLoad ? slot_index : kNoSlot);
+    loads_.inc();
+    window_[slot_index] = Slot{false, now};
+    // The slot just written is the newest window entry.
+    loadSeqs_[wrap(loadHead_ + loadCount_)] =
+        retiredAbs_ + windowCount_ - 1;
+    ++loadCount_;
+    mem_(addr, false, slot_index);
 }
 
 void
@@ -82,36 +72,63 @@ Core::completeLoad(unsigned slot, Cycle done_tick)
     s.doneAtTick = done_tick;
 }
 
+unsigned
+Core::retireReady(Cycle now, unsigned head, unsigned count,
+                  std::uint64_t seq, unsigned &li, bool &stalled) const
+{
+    const unsigned width = std::min(cfg_.issueWidth, count);
+    for (; li < loadCount_; ++li) {
+        const std::uint64_t pos = loadSeq(li) - seq;
+        if (pos >= width)
+            break;
+        const Slot &s = window_[wrap(head + static_cast<unsigned>(pos))];
+        if (!s.done || s.doneAtTick > now) {
+            stalled = true;
+            return static_cast<unsigned>(pos);
+        }
+    }
+    return width;
+}
+
 void
 Core::tick(Cycle now)
 {
     cycles_.inc();
 
     // In-order retirement, up to issueWidth per cycle.
-    unsigned retired_now = 0;
-    while (retired_now < cfg_.issueWidth && windowCount_ > 0) {
-        Slot &s = window_[head_];
-        if (!s.done || s.doneAtTick > now) {
-            if (s.isMem && s.isLoad)
-                robStallCycles_.inc();
-            break;
-        }
-        head_ = (head_ + 1) % cfg_.robSize;
-        --windowCount_;
-        retired_.inc();
-        ++retiredAbs_;
-        ++retired_now;
-    }
+    unsigned li = 0;
+    bool stalled = false;
+    const unsigned n =
+        retireReady(now, head_, windowCount_, retiredAbs_, li, stalled);
+    popLoads(li);
+    head_ = wrap(head_ + n);
+    windowCount_ -= n;
+    retiredAbs_ += n;
+    retired_.inc(n);
+    if (stalled)
+        robStallCycles_.inc();
 
-    // Dispatch up to issueWidth new instructions.
-    for (unsigned d = 0; d < cfg_.issueWidth; ++d) {
-        if (windowCount_ >= cfg_.robSize)
-            break;
-        if (!havePending_ && !traceDone_)
+    // Dispatch up to issueWidth new instructions: a run of gap bubbles
+    // in one step, each memory instruction on its own.
+    unsigned room = std::min(cfg_.issueWidth, cfg_.robSize - windowCount_);
+    while (room > 0) {
+        if (!havePending_) {
+            if (traceDone_)
+                break;
             refill();
-        if (!havePending_ && gapLeft_ == 0)
-            break; // trace exhausted
+            if (!havePending_)
+                break; // trace exhausted
+        }
+        if (gapLeft_ > 0) {
+            const unsigned k = std::min<std::uint32_t>(gapLeft_, room);
+            tail_ = wrap(tail_ + k);
+            windowCount_ += k;
+            gapLeft_ -= k;
+            room -= k;
+            continue;
+        }
         dispatchOne(now);
+        --room;
     }
 }
 
@@ -125,11 +142,13 @@ Core::nextEventTick(Cycle now) const
         return now + kCpuTick;
     if (windowCount_ == 0)
         return kCycleMax; // finished: only cycles_ keeps counting
+    if (!headIsLoad())
+        return now + kCpuTick; // retirable next cycle (width-limited)
     const Slot &s = window_[head_];
     if (!s.done)
         return kCycleMax; // a memory callback will set doneAtTick
     if (s.doneAtTick <= now)
-        return now + kCpuTick; // retirable next cycle (width-limited)
+        return now + kCpuTick;
     return s.doneAtTick;
 }
 
@@ -139,17 +158,14 @@ Core::burstCycles(Cycle first_tick, std::uint64_t max_cycles,
 {
     // Locals mirror the mutable state; written back only when
     // applying, so the peek and apply passes share one code path and
-    // cannot disagree. Bubble slots are deliberately NOT written:
-    // every slot a burst dispatches over was either never used
-    // (Slot{} is a done bubble) or holds a retired instruction, and a
-    // retired slot is always done with a doneAtTick in the past — so
-    // the stale contents retire exactly like a freshly written bubble
-    // and can never trip the stall accounting.
+    // cannot disagree. Bubbles carry no slot state, so the window
+    // itself is never written.
     unsigned head = head_;
     unsigned count = windowCount_;
     std::uint32_t gap = gapLeft_;
     std::uint64_t consumed = 0, dispatched_total = 0;
     std::uint64_t retired = 0, stalls = 0;
+    unsigned li = 0; // loadSeq(li) is the oldest unretired load
     Cycle now = first_tick;
 
     while (consumed < max_cycles) {
@@ -165,15 +181,12 @@ Core::burstCycles(Cycle first_tick, std::uint64_t max_cycles,
             break;
 
         // Steady-state fast path: with no unretired load anywhere in
-        // the window (everything ahead of head is a bubble or a
-        // retire-ready store) and at least a retire-width of entries,
-        // every cycle retires issueWidth and dispatches issueWidth
-        // bubbles — the window occupancy is invariant and the whole
-        // stretch collapses to arithmetic. loadSeqs_ is sorted, so
-        // "no unretired load" is one comparison against its back.
+        // the window and at least a retire-width of entries, every
+        // cycle retires issueWidth and dispatches issueWidth bubbles —
+        // the window occupancy is invariant and the whole stretch
+        // collapses to arithmetic.
         if (havePending_ && count >= cfg_.issueWidth &&
-            (loadSeqs_.empty() ||
-             loadSeqs_.back() < retiredAbs_ + retired)) {
+            li == loadCount_) {
             std::uint64_t k = max_cycles - consumed;
             k = std::min<std::uint64_t>(k, gap / cfg_.issueWidth);
             k = std::min<std::uint64_t>(
@@ -190,19 +203,12 @@ Core::burstCycles(Cycle first_tick, std::uint64_t max_cycles,
 
         // In-order retirement, replicating tick() under the caller's
         // guarantee that no memory callback fires during the burst
-        // (slot done-ness is frozen; only `now` advances).
-        unsigned retired_now = 0;
+        // (load done-ness is frozen; only `now` advances).
         bool stalled = false;
-        while (retired_now < cfg_.issueWidth && count > 0) {
-            const Slot &s = window_[head];
-            if (!s.done || s.doneAtTick > now) {
-                stalled = s.isMem && s.isLoad;
-                break;
-            }
-            head = (head + 1) % cfg_.robSize;
-            --count;
-            ++retired_now;
-        }
+        const unsigned retired_now = retireReady(
+            now, head, count, retiredAbs_ + retired, li, stalled);
+        head = wrap(head + retired_now);
+        count -= retired_now;
 
         // Bubble dispatch: full width unless the window limits it
         // (gap >= issueWidth was checked above).
@@ -233,6 +239,7 @@ Core::burstCycles(Cycle first_tick, std::uint64_t max_cycles,
         retired_.inc(retired);
         retiredAbs_ += retired;
         robStallCycles_.inc(stalls);
+        popLoads(li);
     }
     return consumed;
 }
@@ -240,13 +247,10 @@ Core::burstCycles(Cycle first_tick, std::uint64_t max_cycles,
 void
 Core::skipCycles(std::uint64_t n)
 {
-    if (n == 0)
-        return;
     cycles_.inc(n);
-    if (windowCount_ == 0)
-        return;
-    const Slot &s = window_[head_];
-    if (s.isMem && s.isLoad)
+    // Nothing retires on a skipped cycle, so a load at the head is
+    // blocked on every one of them.
+    if (headIsLoad())
         robStallCycles_.inc(n);
 }
 
@@ -256,8 +260,12 @@ Core::serdeState(Archive &ar)
     ar.section("core");
     ar.expectCount(window_.size(), "ROB slots");
     for (Slot &s : window_) {
-        ar.io(s.isMem);
-        ar.io(s.isLoad);
+        // The v1 layout records an instruction kind per slot. Only
+        // load slots carry state, so the kind is written as a load's
+        // and ignored on restore.
+        bool is_mem = true, is_load = true;
+        ar.io(is_mem);
+        ar.io(is_load);
         ar.io(s.done);
         ar.io(s.doneAtTick);
     }
@@ -271,7 +279,25 @@ Core::serdeState(Archive &ar)
     ar.io(havePending_);
     ar.io(traceDone_);
     ar.io(retiredAbs_);
-    ar.io(loadSeqs_);
+    // The window's loads, oldest first. Older snapshots may still
+    // list loads that have retired; they are dropped on restore.
+    std::vector<std::uint64_t> loads;
+    for (unsigned i = 0; i < loadCount_; ++i)
+        loads.push_back(loadSeq(i));
+    ar.io(loads);
+    if (ar.loading()) {
+        loadHead_ = 0;
+        loadCount_ = 0;
+        for (std::uint64_t seq : loads) {
+            if (seq < retiredAbs_)
+                continue;
+            if (loadCount_ == loadSeqs_.size())
+                fatal("checkpoint: core{} lists more loads than its "
+                      "{}-entry ROB",
+                      id_, loadSeqs_.size());
+            loadSeqs_[loadCount_++] = seq;
+        }
+    }
     ar.end();
 }
 

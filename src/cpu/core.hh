@@ -9,13 +9,17 @@
  * a long-latency load at the head stalls the core exactly as a ROB
  * does. This converts memory latency into IPC the same way detailed
  * cores do for memory-bound workloads.
+ *
+ * Only loads carry per-slot state: everything else is ready to retire
+ * from the cycle after its dispatch, so retirement walks the window's
+ * loads (not its slots) and runs of gap bubbles dispatch by moving the
+ * tail cursor alone.
  */
 
 #ifndef DASDRAM_CPU_CORE_HH
 #define DASDRAM_CPU_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -152,10 +156,9 @@ class Core
     StatGroup &stats() { return statGroup_; }
 
   private:
+    /** Completion state of a load slot; other slots are never read. */
     struct Slot
     {
-        bool isMem = false;
-        bool isLoad = false;
         bool done = true;
         Cycle doneAtTick = 0;
     };
@@ -163,7 +166,50 @@ class Core
     /** Fetch the next trace record into pending state. */
     void refill();
 
+    /** Dispatch the pending record's memory instruction. */
     void dispatchOne(Cycle now);
+
+    /** Slot index @p i (< 2 * robSize) wrapped into the window. */
+    unsigned
+    wrap(unsigned i) const
+    {
+        return i >= cfg_.robSize ? i - cfg_.robSize : i;
+    }
+
+    /**
+     * In-order retirement at tick @p now from a window of @p count
+     * entries whose oldest is slot @p head with sequence number
+     * @p seq: the number of entries that retire this cycle (at most
+     * issueWidth). Only loads can block, so only the loads from
+     * loadSeq(@p li) on are inspected; @p li advances past the loads
+     * that retire. @p stalled is set iff a load that has not
+     * completed by @p now stops retirement.
+     */
+    unsigned retireReady(Cycle now, unsigned head, unsigned count,
+                         std::uint64_t seq, unsigned &li,
+                         bool &stalled) const;
+
+    /** Sequence number of the @p i-th oldest load in the window. */
+    std::uint64_t
+    loadSeq(unsigned i) const
+    {
+        return loadSeqs_[wrap(loadHead_ + i)];
+    }
+
+    /** Drop the @p n oldest loads (they retired). */
+    void
+    popLoads(unsigned n)
+    {
+        loadHead_ = wrap(loadHead_ + n);
+        loadCount_ -= n;
+    }
+
+    /** True iff the oldest window entry is a load. */
+    bool
+    headIsLoad() const
+    {
+        return loadCount_ > 0 && loadSeq(0) == retiredAbs_;
+    }
 
     int id_;
     CoreConfig cfg_;
@@ -183,14 +229,17 @@ class Core
 
     /**
      * Lifetime retired count (never reset) and the absolute sequence
-     * numbers of the load slots dispatched so far, oldest first; a
-     * load is still in the window iff its sequence number is >=
-     * retiredAbs_. Lets burstCycles() prove in O(1) that the whole
-     * window is retire-ready (no load to block on), unlocking its
-     * closed-form steady-state path. Entries are popped lazily.
+     * numbers of the loads in the window, oldest first: a ring of
+     * robSize entries from loadHead_, loadCount_ long (an entry is
+     * popped when its load retires). Retirement visits only these
+     * loads, and an empty ring proves in O(1) that the whole window
+     * is retire-ready, unlocking burstCycles()'s closed-form
+     * steady-state path.
      */
     std::uint64_t retiredAbs_ = 0;
-    std::deque<std::uint64_t> loadSeqs_;
+    std::vector<std::uint64_t> loadSeqs_;
+    unsigned loadHead_ = 0;
+    unsigned loadCount_ = 0;
 
     StatGroup statGroup_;
     Counter retired_, cycles_, loads_, stores_, robStallCycles_;

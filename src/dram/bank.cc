@@ -12,7 +12,7 @@ Bank::activate(Cycle now, std::uint64_t row, RowClass cls)
 {
     if (!canActivate(now, row))
         panic("Bank::activate timing violation at cycle {}", now);
-    ++version_;
+    bump();
     hasOpenRow_ = true;
     openRow_ = row;
     openClass_ = cls;
@@ -28,7 +28,7 @@ Bank::precharge(Cycle now)
 {
     if (!canPrecharge(now))
         panic("Bank::precharge timing violation at cycle {}", now);
-    ++version_;
+    bump();
     const ArrayTiming &at = timing_->array(openClass_);
     actAllowedAt_ = std::max(actAllowedAt_, now + at.tRP);
     hasOpenRow_ = false;
@@ -39,7 +39,7 @@ Bank::read(Cycle now)
 {
     if (!canColumn(now))
         panic("Bank::read timing violation at cycle {}", now);
-    ++version_;
+    bump();
     const ArrayTiming &at = timing_->array(openClass_);
     preAllowedAt_ = std::max(preAllowedAt_, now + timing_->tRTP);
     return now + at.tCL + timing_->tBL;
@@ -50,7 +50,7 @@ Bank::write(Cycle now)
 {
     if (!canColumn(now))
         panic("Bank::write timing violation at cycle {}", now);
-    ++version_;
+    bump();
     Cycle burst_end = now + timing_->tCWL + timing_->tBL;
     preAllowedAt_ = std::max(preAllowedAt_, burst_end + timing_->tWR);
     return burst_end;
@@ -67,7 +67,7 @@ Bank::reserve(Cycle now, Cycle duration, std::uint64_t row_lo,
         openRow_ != exempt_a && openRow_ != exempt_b) {
         panic("Bank::reserve with the open row inside the range");
     }
-    ++version_;
+    bump();
     reservedUntil_ = now + duration;
     reservedBusyTotal_ += duration;
     resRowLo_ = row_lo;
@@ -81,14 +81,14 @@ Bank::refresh(Cycle done_at)
 {
     if (hasOpenRow_)
         panic("Bank::refresh requires a precharged bank");
-    ++version_;
+    bump();
     actAllowedAt_ = std::max(actAllowedAt_, done_at);
 }
 
 void
 Bank::reset()
 {
-    ++version_;
+    bump();
     hasOpenRow_ = false;
     openRow_ = 0;
     openClass_ = RowClass::Slow;

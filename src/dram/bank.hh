@@ -27,11 +27,18 @@ namespace dasdram
  * bumps a monotone version counter. The controller keys its cached
  * earliest-command-ready cycles on these versions, so a cache entry is
  * valid exactly while the bank state it was derived from is unchanged.
+ * Each bump also increments the owning channel's mutation counter, so
+ * the channel can tell in O(1) whether any bank or rank changed.
  */
 class Bank
 {
   public:
-    explicit Bank(const DramTiming &timing) : timing_(&timing) {}
+    /** @p mutations is the owning channel's mutation counter; null
+     *  for a bank outside any channel. */
+    explicit Bank(const DramTiming &timing,
+                  std::uint64_t *mutations = nullptr)
+        : timing_(&timing), mutations_(mutations)
+    {}
 
     /**
      * Monotone state-version counter: incremented by every mutator
@@ -206,7 +213,17 @@ class Bank
     }
 
   private:
+    /** Record a state transition (every mutator calls this once). */
+    void
+    bump()
+    {
+        ++version_;
+        if (mutations_)
+            ++*mutations_;
+    }
+
     const DramTiming *timing_;
+    std::uint64_t *mutations_;
 
     std::uint64_t version_ = 0;
 

@@ -20,7 +20,7 @@ ChannelController::ChannelController(unsigned channel_id,
 {
     ranks_.reserve(geom.ranksPerChannel);
     for (unsigned r = 0; r < geom.ranksPerChannel; ++r)
-        ranks_.emplace_back(timing, geom.banksPerRank);
+        ranks_.emplace_back(timing, geom.banksPerRank, &rankBankMutations_);
 
     readQueue_.reserve(cfg.readQueueDepth);
     writeQueue_.reserve(cfg.writeQueueDepth);
@@ -837,13 +837,7 @@ ChannelController::requestMaybeIssuable(const MemRequest &req,
 std::uint64_t
 ChannelController::stateSignature() const
 {
-    std::uint64_t sig = chanVer_ + busVer_;
-    for (const Rank &r : ranks_) {
-        sig += r.version();
-        for (unsigned bi = 0; bi < r.numBanks(); ++bi)
-            sig += r.bank(bi).version();
-    }
-    return sig;
+    return chanVer_ + busVer_ + rankBankMutations_;
 }
 
 void
@@ -1036,6 +1030,13 @@ ChannelController::serdeState(Archive &ar)
     ar.end();
 
     if (ar.loading()) {
+        // The mutation counter is the sum of the restored versions.
+        rankBankMutations_ = 0;
+        for (const Rank &r : ranks_) {
+            rankBankMutations_ += r.version();
+            for (unsigned bi = 0; bi < r.numBanks(); ++bi)
+                rankBankMutations_ += r.bank(bi).version();
+        }
         // Rollup horizon caches are derived state; force a recompute
         // on the first wake query after the restore.
         horizonSig_ = ~std::uint64_t{0};

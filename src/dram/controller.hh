@@ -143,6 +143,11 @@ class ChannelController
                       const RowClassifier &classifier,
                       const ControllerConfig &cfg);
 
+    /** Banks and ranks point at this controller's mutation counter,
+     *  so it must stay where it was built. */
+    ChannelController(const ChannelController &) = delete;
+    ChannelController &operator=(const ChannelController &) = delete;
+
     /// @name Request interface
     /// @{
 
@@ -215,6 +220,17 @@ class ChannelController
     /// @{
     Rank &rank(unsigned i) { return ranks_[i]; }
     const Rank &rank(unsigned i) const { return ranks_[i]; }
+
+    /**
+     * Monotone signature of every piece of state the cached queue and
+     * precharge horizons depend on: the channel version (queue
+     * membership), the bus version, and the rank/bank mutation
+     * counter (the sum of all rank and bank versions, kept by the
+     * ranks and banks themselves). Each term only ever increments, so
+     * the sum strictly increases on any transition — two distinct
+     * states never alias. O(1).
+     */
+    std::uint64_t stateSignature() const;
 
     StatGroup &stats() { return statGroup_; }
 
@@ -320,15 +336,6 @@ class ChannelController
     bool requestMaybeIssuable(const MemRequest &req, Cycle now) const;
 
     /**
-     * Monotone signature of every piece of state the cached queue and
-     * precharge horizons depend on: the channel version (queue
-     * membership), the bus version, and all rank and bank versions.
-     * Each term only ever increments, so the sum strictly increases on
-     * any transition — two distinct states never alias.
-     */
-    std::uint64_t stateSignature() const;
-
-    /**
      * Recompute the rollup horizon caches if stateSignature() moved or
      * the earliest reservation blocking a queued request expired: the
      * minimum absolute ready cycle over unblocked requests of both
@@ -374,6 +381,8 @@ class ChannelController
     const RowClassifier *classifier_;
     ControllerConfig cfg_;
 
+    /** Incremented by every Rank/Bank version bump in this channel. */
+    std::uint64_t rankBankMutations_ = 0;
     std::vector<Rank> ranks_;
 
     std::vector<std::unique_ptr<MemRequest>> readQueue_;

@@ -7,12 +7,13 @@
 namespace dasdram
 {
 
-Rank::Rank(const DramTiming &timing, unsigned num_banks)
-    : timing_(&timing), nextRefreshAt_(timing.tREFI)
+Rank::Rank(const DramTiming &timing, unsigned num_banks,
+           std::uint64_t *mutations)
+    : timing_(&timing), mutations_(mutations), nextRefreshAt_(timing.tREFI)
 {
     banks_.reserve(num_banks);
     for (unsigned i = 0; i < num_banks; ++i)
-        banks_.emplace_back(timing);
+        banks_.emplace_back(timing, mutations);
 }
 
 bool
@@ -39,7 +40,7 @@ Rank::recordActivate(Cycle now)
 {
     if (!canActivate(now))
         panic("Rank::recordActivate violates tRRD/tFAW at cycle {}", now);
-    ++version_;
+    bump();
     actTimes_[actHead_] = now;
     actHead_ = (actHead_ + 1) % actTimes_.size();
     lastActAt_ = now;
@@ -49,7 +50,7 @@ Rank::recordActivate(Cycle now)
 void
 Rank::recordWriteBurst(Cycle burst_end)
 {
-    ++version_;
+    bump();
     readAllowedAt_ = std::max(readAllowedAt_, burst_end + timing_->tWTR);
 }
 
@@ -68,7 +69,7 @@ Rank::refresh(Cycle now)
 {
     if (!allBanksIdle(now))
         panic("Rank::refresh with open or reserved banks at cycle {}", now);
-    ++version_;
+    bump();
     Cycle done = now + timing_->tRFC;
     refreshingUntil_ = done;
     refreshBusyTotal_ += timing_->tRFC;

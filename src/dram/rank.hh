@@ -24,7 +24,10 @@ namespace dasdram
 class Rank
 {
   public:
-    Rank(const DramTiming &timing, unsigned num_banks);
+    /** @p mutations is the owning channel's mutation counter, shared
+     *  with every bank; null for a rank outside any channel. */
+    Rank(const DramTiming &timing, unsigned num_banks,
+         std::uint64_t *mutations = nullptr);
 
     Bank &bank(unsigned i) { return banks_[i]; }
     const Bank &bank(unsigned i) const { return banks_[i]; }
@@ -33,7 +36,8 @@ class Rank
     /**
      * Monotone version counter over the rank-wide timing state
      * (tRRD/tFAW window, tWTR, refresh schedule). Does not cover the
-     * banks — each Bank carries its own version().
+     * banks — each Bank carries its own version(). Every bump also
+     * increments the channel's mutation counter.
      */
     std::uint64_t version() const { return version_; }
 
@@ -115,7 +119,17 @@ class Rank
     }
 
   private:
+    /** Record a rank-wide state transition. */
+    void
+    bump()
+    {
+        ++version_;
+        if (mutations_)
+            ++*mutations_;
+    }
+
     const DramTiming *timing_;
+    std::uint64_t *mutations_;
     std::vector<Bank> banks_;
 
     /** Times of the most recent four activates (ring buffer). */

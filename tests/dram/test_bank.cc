@@ -201,6 +201,44 @@ TEST_F(BankTest, VersionStableAcrossQueries)
     EXPECT_EQ(bank.version(), v);
 }
 
+// Each version bump also counts in the owning channel's mutation
+// counter (the channel's O(1) state signature), and only in that one.
+TEST_F(BankTest, EveryMutatorCountsInItsOwnChannelOnly)
+{
+    std::uint64_t chan = 0, other_chan = 0;
+    Bank b(timing, &chan);
+    Bank other(timing, &other_chan);
+    auto expect_counted = [&](const char *what) {
+        EXPECT_EQ(chan, b.version()) << what;
+        EXPECT_EQ(other_chan, 0u) << what;
+    };
+
+    b.activate(0, 5, RowClass::Slow);
+    expect_counted("activate");
+    b.read(timing.slow.tRCD);
+    expect_counted("read");
+    b.write(timing.slow.tRCD + 10);
+    expect_counted("write");
+    const Cycle pre_at = b.preAllowedAt();
+    b.precharge(pre_at);
+    expect_counted("precharge");
+    b.reserve(pre_at, 100, 32, 64, 40, 50);
+    expect_counted("reserve");
+    b.refresh(pre_at + 200 + timing.tRFC);
+    expect_counted("refresh");
+    b.reset();
+    expect_counted("reset");
+    EXPECT_EQ(chan, 7u);
+
+    // Queries count nothing; a bank outside any channel still versions.
+    (void)b.canActivate(0, 9);
+    (void)b.rowBlocked(0, 5);
+    EXPECT_EQ(chan, 7u);
+    bank.activate(0, 5, RowClass::Slow);
+    EXPECT_EQ(chan, 7u);
+    EXPECT_EQ(other_chan, 0u);
+}
+
 // Reset is an invalidation edge of its own: any cached ready cycle
 // derived from pre-reset state must be discarded even though the bank
 // looks "idle" again afterwards.

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -397,6 +398,57 @@ struct DirectedHarness
 };
 
 } // namespace
+
+/**
+ * The channel's state signature is one counter read, not a sum over
+ * banks: every Bank and Rank mutator must still move it, and only for
+ * its own channel. A counter shared between controllers (static or
+ * process-wide) would move the other channel's signature too — and
+ * race when a sweep runs Systems on parallel threads.
+ */
+TEST(ReadinessCache, EveryBankAndRankMutatorMovesOnlyItsChannelSignature)
+{
+    DirectedHarness a, b;
+    Rank &rank = a.ctrl->rank(0);
+    Bank &bank = rank.bank(2);
+    const DramTiming &t = a.timing;
+    const std::uint64_t other = b.ctrl->stateSignature();
+    auto moves = [&](const char *what, const std::function<void()> &fn) {
+        const std::uint64_t before = a.ctrl->stateSignature();
+        fn();
+        EXPECT_GT(a.ctrl->stateSignature(), before) << what;
+        EXPECT_EQ(b.ctrl->stateSignature(), other) << what;
+    };
+
+    moves("bank activate", [&] { bank.activate(0, 5, RowClass::Slow); });
+    moves("rank recordActivate", [&] { rank.recordActivate(0); });
+    moves("bank read", [&] { bank.read(t.slow.tRCD); });
+    moves("bank write", [&] { bank.write(t.slow.tRCD + 10); });
+    moves("rank recordWriteBurst",
+          [&] { rank.recordWriteBurst(t.slow.tRCD + 20); });
+    const Cycle pre_at = bank.preAllowedAt();
+    moves("bank precharge", [&] { bank.precharge(pre_at); });
+    moves("bank reserve", [&] { bank.reserve(pre_at, 100, 32, 64); });
+    moves("bank refresh", [&] { bank.refresh(pre_at + 500); });
+    moves("rank refresh", [&] { rank.refresh(pre_at + 1000); });
+    moves("bank reset", [&] { bank.reset(); });
+
+    // Queries leave the signature alone.
+    const std::uint64_t sig = a.ctrl->stateSignature();
+    (void)rank.activateAllowedAt();
+    (void)bank.canActivate(pre_at + 2000, 9);
+    (void)a.ctrl->nextWakeCycle(pre_at + 2000);
+    EXPECT_EQ(a.ctrl->stateSignature(), sig);
+
+    // A restored controller resumes from the same signature.
+    Archive out;
+    a.ctrl->serdeState(out);
+    DirectedHarness c;
+    Archive in(out.take());
+    c.ctrl->serdeState(in);
+    EXPECT_EQ(c.ctrl->stateSignature(), sig);
+    EXPECT_EQ(b.ctrl->stateSignature(), other);
+}
 
 /**
  * ACT edge: issuing the ACT must invalidate the request's cached ready

@@ -131,6 +131,40 @@ TEST_F(RankTest, VersionBumpsOnRankMutators)
     EXPECT_GT(rank.version(), v);
 }
 
+// Rank and bank bumps all count in the channel's mutation counter the
+// rank was built with, which therefore always equals the sum of the
+// rank's and its banks' versions.
+TEST_F(RankTest, RankAndBankMutatorsCountInTheChannel)
+{
+    std::uint64_t chan = 0, other_chan = 0;
+    Rank r(timing, 8, &chan);
+    Rank other(timing, 8, &other_chan);
+    auto sum_of_versions = [&] {
+        std::uint64_t sum = r.version();
+        for (unsigned i = 0; i < r.numBanks(); ++i)
+            sum += r.bank(i).version();
+        return sum;
+    };
+
+    std::uint64_t before = chan;
+    r.recordActivate(0);
+    EXPECT_GT(chan, before);
+    before = chan;
+    r.recordWriteBurst(100);
+    EXPECT_GT(chan, before);
+    before = chan;
+    r.bank(3).activate(0, 7, RowClass::Fast);
+    EXPECT_GT(chan, before);
+    before = chan;
+    r.bank(3).precharge(r.bank(3).preAllowedAt());
+    EXPECT_GT(chan, before);
+    before = chan;
+    r.refresh(timing.tREFI); // bumps the rank and all eight banks
+    EXPECT_EQ(chan, before + 1 + r.numBanks());
+    EXPECT_EQ(chan, sum_of_versions());
+    EXPECT_EQ(other_chan, 0u);
+}
+
 TEST_F(RankTest, VersionStableAcrossQueries)
 {
     rank.recordActivate(0);
