@@ -18,7 +18,8 @@
  * Writes BENCH_engine.json (override with --out). Scale the budget
  * with --instructions N or DAS_SIM_SCALE. With --repeat N each engine
  * runs N times per workload (tick and event alternating) and every
- * row reports the median wall time with the min/max spread.
+ * row reports the median wall time with the min/max spread; the
+ * speedup is the median of the N per-pair tick/event ratios.
  */
 
 #include <algorithm>
@@ -80,19 +81,20 @@ struct EngineSample
     RunMetrics metrics;
 };
 
+double
+medianOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
 /** Wall times of one engine's repeated runs of one workload. */
 struct EngineTimes
 {
     std::vector<double> seconds;
 
-    double
-    median() const
-    {
-        std::vector<double> v = seconds;
-        std::sort(v.begin(), v.end());
-        const std::size_t n = v.size();
-        return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
-    }
+    double median() const { return medianOf(seconds); }
 
     double
     min() const
@@ -239,12 +241,17 @@ main(int argc, char **argv)
         }
         EngineSample tick, event;
         EngineTimes tick_t, event_t;
+        // tick/event wall-time ratio of each back-to-back pair: host
+        // speed drifts between repeats, so a ratio taken within a pair
+        // is steadier than the ratio of the two medians.
+        std::vector<double> pair_speedups;
         bool same = true;
         for (unsigned r = 0; r < repeat; ++r) {
             tick = timeOne(bench, cfg, SimEngine::Tick);
             event = timeOne(bench, cfg, SimEngine::Event);
             tick_t.seconds.push_back(tick.seconds);
             event_t.seconds.push_back(event.seconds);
+            pair_speedups.push_back(tick.seconds / event.seconds);
             same = same && agree(tick.metrics, event.metrics);
         }
 
@@ -257,7 +264,7 @@ main(int argc, char **argv)
         }
 
         const std::uint64_t cycles = tick.metrics.cpuCycles;
-        const double speedup = tick_t.median() / event_t.median();
+        const double speedup = medianOf(pair_speedups);
         double ipc = tick.metrics.ipc.empty() ? 0.0 : tick.metrics.ipc[0];
         auto median = [&](const EngineTimes &t) {
             return benchutil::num(rate(cycles, t.median()) / 1e6, 2);

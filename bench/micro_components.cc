@@ -138,17 +138,22 @@ BM_CoreTickComputeBound(benchmark::State &state)
 }
 BENCHMARK(BM_CoreTickComputeBound);
 
+// Time per trace record: the gap draw (table lookup), the pattern
+// pick and the write coin. cactusADM is the compute-bound profile
+// whose runs spend the largest share of host time here.
 static void
-BM_SyntheticTraceGeneration(benchmark::State &state)
+BM_SyntheticTraceNext(benchmark::State &state, const char *profile)
 {
-    SyntheticTrace t(specProfile("mcf"), 42);
+    SyntheticTrace t(specProfile(profile), 42);
     TraceEntry e;
     for (auto _ : state) {
         t.next(e);
         benchmark::DoNotOptimize(e.addr);
     }
+    state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SyntheticTraceGeneration);
+BENCHMARK_CAPTURE(BM_SyntheticTraceNext, cactusADM, "cactusADM");
+BENCHMARK_CAPTURE(BM_SyntheticTraceNext, mcf, "mcf");
 
 static void
 BM_ControllerRowHitThroughput(benchmark::State &state)

@@ -381,16 +381,31 @@ constexpr std::uint64_t kMaxBurstCycles = 1u << 16;
 InstCount
 System::retireCap(const Core &core) const
 {
-    const InstCount warmup = cfg_.warmupInstructions();
-    const InstCount target = cfg_.instructionsPerCore;
-    // Mirrors run(): before the warm-up reset the next observed
-    // threshold is min(warmup, target); after it, target minus the
-    // retired-count base the reset established.
-    const InstCount threshold =
-        warmupDone_ ? target - warmup : std::min(warmup, target);
     const InstCount done = core.retired();
-    return done < threshold ? threshold - done
-                            : std::numeric_limits<InstCount>::max();
+    return done < retireThreshold_ ? retireThreshold_ - done
+                                   : std::numeric_limits<InstCount>::max();
+}
+
+Cycle
+System::maybeFastForward(Cycle next_cpu_at)
+{
+    // Most probes on dense stretches fail at once, and most that
+    // succeed skip a cycle or two: backing off after a failure trades
+    // those short skips for the probes' cost. Long idle spans still
+    // find the engine within 16 iterations.
+    constexpr unsigned kMaxProbeBackoff = 15;
+    if (probesToSkip_ > 0) {
+        --probesToSkip_;
+        return next_cpu_at;
+    }
+    Cycle next = fastForward(next_cpu_at);
+    if (next != next_cpu_at) {
+        probeBackoff_ = 0;
+    } else {
+        probeBackoff_ = std::min(2 * probeBackoff_ + 1, kMaxProbeBackoff);
+        probesToSkip_ = probeBackoff_;
+    }
+    return next;
 }
 
 Cycle
@@ -401,6 +416,8 @@ System::fastForward(Cycle next_cpu_at)
     // dispatching a memory instruction) this costs a few comparisons,
     // and the DRAM horizon — a scan over queues and banks — is only
     // computed when a real skip is possible.
+    if (!events_.empty() && events_.front().at <= next_cpu_at)
+        return next_cpu_at;
     Cycle stop = kCycleMax;
     bool any_burst = false;
     for (const auto &core : cores_) {
@@ -512,6 +529,8 @@ System::run()
     // `warmup` at the reset), so it is not serialised.
     Cycle next_cpu_at = now_;
     InstCount warmup_retired_base = warmupDone_ ? warmup : 0;
+    retireThreshold_ =
+        warmupDone_ ? target - warmup : std::min(warmup, target);
 
     auto min_retired = [this]() {
         InstCount m = kCycleMax;
@@ -548,6 +567,7 @@ System::run()
             if (done >= warmup) {
                 resetAfterWarmup();
                 warmup_retired_base = warmup;
+                retireThreshold_ = target - warmup;
                 if (!warmupCheckpointPath_.empty()) {
                     // Tick 0 is already past: the snapshot is taken at
                     // the next loop top, a deterministic iteration
@@ -565,7 +585,7 @@ System::run()
         // above) only changes on active iterations, so fast-forwarding
         // here cannot jump over either threshold.
         if (event_engine)
-            next_cpu_at = fastForward(next_cpu_at);
+            next_cpu_at = maybeFastForward(next_cpu_at);
     }
 
     for (const auto &cp : checkpoints_) {

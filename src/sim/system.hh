@@ -288,12 +288,20 @@ class System
      */
     Cycle fastForward(Cycle next_cpu_at);
     /**
+     * fastForward behind the probe throttle: after a call that skips
+     * nothing, the next probeBackoff_ calls are not made (their
+     * iterations just tick), with probeBackoff_ growing 1, 3, 7, 15
+     * over consecutive empty calls and clearing on any skip. Ticking
+     * is always exact, so which calls are made never changes a result.
+     */
+    Cycle maybeFastForward(Cycle next_cpu_at);
+    /**
      * Instructions @p core may retire inside a fast-forward span
      * before the next threshold run() observes per iteration — the
-     * warm-up boundary or the completion target. The crossing
-     * iteration itself must execute for real, so core bursts stop
-     * short of it; a core already past the current threshold (it is
-     * not the min-progress core) is unconstrained.
+     * warm-up boundary or the completion target (retireThreshold_).
+     * The crossing iteration itself must execute for real, so core
+     * bursts stop short of it; a core already past the current
+     * threshold (it is not the min-progress core) is unconstrained.
      */
     InstCount retireCap(const Core &core) const;
     /** @p issue_tick: the tick the core issued the access (the span's
@@ -356,6 +364,17 @@ class System
     bool warmupDone_ = false;
     /** Chrome-trace + channel-threads warning already emitted. */
     bool warnedThreadedTrace_ = false;
+
+    /** Retired count run() next tests per core: min(warm-up, target)
+     *  before the warm-up reset, target minus warm-up after it. Set
+     *  by run() from warmupDone_, so it needs no snapshot field. */
+    InstCount retireThreshold_ = 0;
+    /// @name Probe throttle (host-only: not snapshotted, not in the
+    /// config fingerprint; see maybeFastForward)
+    /// @{
+    unsigned probeBackoff_ = 0;
+    unsigned probesToSkip_ = 0;
+    /// @}
 
     StatGroup statGroup_;
 };

@@ -12,7 +12,10 @@ SyntheticTrace::SyntheticTrace(const BenchmarkProfile &profile,
                                std::uint64_t page_bytes,
                                std::uint64_t line_bytes)
     : prof_(profile), seed_(seed), pageBytes_(page_bytes),
-      lineBytes_(line_bytes), rng_(seed)
+      lineBytes_(line_bytes), rng_(seed),
+      gapMean_(profile.memRatio > 0.0
+                   ? (1.0 - profile.memRatio) / profile.memRatio
+                   : 0.0)
 {
     if (page_bytes % line_bytes != 0)
         fatal("page size must be a multiple of the line size");
@@ -34,11 +37,13 @@ SyntheticTrace::SyntheticTrace(const BenchmarkProfile &profile,
         1, static_cast<std::uint64_t>(
                prof_.hotFraction *
                static_cast<double>(activeRegionPages_)));
+    hotZipf_ = ZipfShape(hotPages_, prof_.zipfS);
     double mix =
         prof_.pStream + prof_.pWork + prof_.pHot + prof_.pUniform;
     if (mix < 0.999 || mix > 1.001)
         fatal("pattern mix of '{}' must sum to 1 (got {})", prof_.name,
               mix);
+    buildGapTable();
     reset();
 }
 
@@ -68,9 +73,52 @@ SyntheticTrace::reset()
     instCount_ = 0;
     nextPhaseAt_ = prof_.phaseInstructions;
     phase_ = 0;
-    gapMean_ = prof_.memRatio > 0.0
-                   ? (1.0 - prof_.memRatio) / prof_.memRatio
-                   : 0.0;
+}
+
+std::uint32_t
+SyntheticTrace::gapOf(std::uint64_t m) const
+{
+    // Geometric-ish gap with mean (1-r)/r for memory ratio r, via
+    // exponential sampling; rounding (not flooring) keeps the realised
+    // memory ratio unbiased.
+    double u = static_cast<double>(m) * 0x1.0p-53;
+    double g = -gapMean_ * std::log(1.0 - u);
+    return static_cast<std::uint32_t>(std::min(g + 0.5, 100000.0));
+}
+
+void
+SyntheticTrace::buildGapTable()
+{
+    // gapOf is monotone in m, so a bucket maps to one gap iff its two
+    // edges round to the same integer. Each edge is gapOf's expression
+    // at the edge draw (1 - u is exact there) and must clear a margin
+    // of 1e-9 relative: log errs by under one ULP, so such a bucket
+    // cannot hold a draw gapOf rounds differently. The last edge
+    // (u = 1) is infinite, or NaN when gapMean_ is 0, so that bucket
+    // always falls back to gapOf.
+    constexpr unsigned kBuckets = 1u << kGapTableBits;
+    auto edge = [this](unsigned k) {
+        return -gapMean_ * std::log(1.0 - static_cast<double>(k) /
+                                              static_cast<double>(kBuckets)) +
+               0.5;
+    };
+    double lo_edge = edge(0);
+    for (unsigned k = 0; k < kBuckets; ++k) {
+        const double hi_edge = edge(k + 1);
+        const double top = std::max(lo_edge, hi_edge);
+        const double margin = 1e-9 * (top + 1.0);
+        const double lo = std::min(lo_edge, hi_edge) - margin;
+        const double hi = top + margin;
+        // On [0, kGapUntabled) a truncating cast is floor (and far
+        // cheaper than std::floor without SSE4.1).
+        const bool single =
+            std::isfinite(lo_edge) && std::isfinite(hi_edge) &&
+            lo >= 0.0 && hi < kGapUntabled &&
+            static_cast<std::uint16_t>(lo) == static_cast<std::uint16_t>(hi);
+        gapTable_[k] =
+            single ? static_cast<std::uint16_t>(lo) : kGapUntabled;
+        lo_edge = hi_edge;
+    }
 }
 
 void
@@ -145,7 +193,7 @@ SyntheticTrace::pickLine()
         // so each migration group sees ≈ hotFraction of its rows hot —
         // the quantity the fast-level ratio competes with. Each rank
         // slice carries a salt that drifts across phases.
-        std::uint64_t rank = rng_.nextZipf(hotPages_, prof_.zipfS);
+        std::uint64_t rank = rng_.nextZipf(hotZipf_);
         std::uint64_t salt = sliceSalt_[rank % sliceSalt_.size()];
         std::uint64_t page =
             (rank * 2147483647ULL + salt) % activeRegionPages_;
@@ -165,12 +213,8 @@ SyntheticTrace::pickLine()
 bool
 SyntheticTrace::next(TraceEntry &out)
 {
-    // Geometric-ish gap with mean (1-m)/m via exponential sampling;
-    // rounding (not flooring) keeps the realised memory ratio unbiased.
-    double u = rng_.nextDouble();
-    double g = -gapMean_ * std::log(1.0 - u);
-    auto gap = static_cast<std::uint32_t>(
-        std::min(g + 0.5, 100000.0));
+    // One 53-bit draw, the same one nextDouble() would make.
+    const std::uint32_t gap = gapFor(rng_.next() >> 11);
     instCount_ += gap + 1;
     maybeAdvancePhase();
 

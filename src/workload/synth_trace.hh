@@ -77,11 +77,33 @@ class SyntheticTrace : public TraceSource
         ar.io(gapMean_);
         rng_.serdeState(ar);
         ar.end();
+        if (ar.loading())
+            buildGapTable();
     }
 
   private:
+    friend struct SyntheticTraceProbe; // tests: gap table vs gapOf
+
+    /** Gap-table index bits: the top bits of a 53-bit gap draw. */
+    static constexpr unsigned kGapTableBits = 10;
+    /** Table entry meaning "no single gap: call gapOf". */
+    static constexpr std::uint16_t kGapUntabled = 0xffff;
+
     Addr pickLine();
     void maybeAdvancePhase();
+    /** The gap drawn by 53-bit uniform @p m: exponential with mean
+     *  gapMean_, rounded to the nearest integer. */
+    std::uint32_t gapOf(std::uint64_t m) const;
+    /** Fill gapTable_ for the current gapMean_. */
+    void buildGapTable();
+
+    /** gapOf(m), by table lookup wherever the bucket holds one gap. */
+    std::uint32_t
+    gapFor(std::uint64_t m) const
+    {
+        std::uint32_t gap = gapTable_[m >> (53 - kGapTableBits)];
+        return gap != kGapUntabled ? gap : gapOf(m);
+    }
 
     BenchmarkProfile prof_;
     std::uint64_t seed_;
@@ -106,6 +128,14 @@ class SyntheticTrace : public TraceSource
     InstCount nextPhaseAt_ = 0;
     std::uint64_t phase_ = 0;
     double gapMean_ = 1.0;
+    ZipfShape hotZipf_;
+    /**
+     * gapOf by the draw's top kGapTableBits bits: the gap every draw
+     * in that bucket maps to, or kGapUntabled where the bucket spans a
+     * rounding boundary (or the gap does not fit). Derived from
+     * gapMean_, so rebuilt whenever a snapshot restores it.
+     */
+    std::array<std::uint16_t, 1u << kGapTableBits> gapTable_{};
 };
 
 } // namespace dasdram

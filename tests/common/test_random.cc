@@ -140,3 +140,48 @@ TEST_P(RngZipfSweep, MonotonicHeadMass)
 
 INSTANTIATE_TEST_SUITE_P(Skews, RngZipfSweep,
                          ::testing::Values(0.0, 0.5, 0.8, 1.0, 1.2));
+
+namespace
+{
+
+/** nextZipf as it was before its (n, s) invariants were hoisted:
+ *  every pow and divide evaluated per draw. */
+std::uint64_t
+perCallZipf(Rng &r, std::uint64_t n, double s)
+{
+    if (n <= 1)
+        return 0;
+    double u = r.nextDouble();
+    if (s == 1.0)
+        s = 1.0000001;
+    double exponent = 1.0 - s;
+    double hi = std::pow(static_cast<double>(n) + 1.0, exponent);
+    double x = std::pow(u * (hi - 1.0) + 1.0, 1.0 / exponent);
+    std::uint64_t rank = static_cast<std::uint64_t>(x) - 1;
+    return (rank >= n) ? n - 1 : rank;
+}
+
+} // namespace
+
+TEST(Rng, ZipfShapeIsBitIdenticalToPerCallFormula)
+{
+    const std::uint64_t sizes[] = {1, 2, 17, 1000, 4300, 1u << 20};
+    const double skews[] = {0.5, 0.8, 1.0, 1.05, 1.1, 2.0};
+    std::uint64_t seed = 1;
+    for (std::uint64_t n : sizes) {
+        for (double s : skews) {
+            const ZipfShape shape(n, s);
+            Rng hoisted(seed), direct(seed), reference(seed);
+            ++seed;
+            for (int i = 0; i < 5000; ++i) {
+                std::uint64_t want = perCallZipf(reference, n, s);
+                ASSERT_EQ(hoisted.nextZipf(shape), want)
+                    << "n " << n << " s " << s << " draw " << i;
+                ASSERT_EQ(direct.nextZipf(n, s), want)
+                    << "n " << n << " s " << s << " draw " << i;
+            }
+            // Same number of draws consumed: the streams stay aligned.
+            EXPECT_EQ(hoisted.next(), reference.next());
+        }
+    }
+}

@@ -1,16 +1,64 @@
 /**
  * @file
  * Tests for the synthetic trace generator: determinism, address bounds,
- * calibration properties (memory ratio, write fraction, locality).
+ * calibration properties (memory ratio, write fraction, locality), the
+ * gap table's exactness against direct evaluation, pinned stream
+ * digests and snapshot continuity.
+ *
+ * Built with DASDRAM_GAP_SWEEP_FULL the gap-table sweep checks ±3000
+ * draws around every bucket edge and rounding boundary plus 20 M
+ * random draws per profile (`ctest -L stress`); the default build
+ * checks ±256 draws and 200 k random ones.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <unordered_map>
 
+#include "common/serde.hh"
 #include "workload/spec_profiles.hh"
 #include "workload/synth_trace.hh"
+
+namespace dasdram
+{
+
+/** White-box access to SyntheticTrace's gap table (a friend). */
+struct SyntheticTraceProbe
+{
+    static std::uint32_t
+    tabled(const SyntheticTrace &t, std::uint64_t m)
+    {
+        return t.gapFor(m);
+    }
+
+    static std::uint32_t
+    exact(const SyntheticTrace &t, std::uint64_t m)
+    {
+        return t.gapOf(m);
+    }
+
+    static bool
+    untabled(const SyntheticTrace &t, std::uint64_t m)
+    {
+        return t.gapTable_[m >> (53 - SyntheticTrace::kGapTableBits)] ==
+               SyntheticTrace::kGapUntabled;
+    }
+
+    static unsigned
+    untabledBuckets(const SyntheticTrace &t)
+    {
+        unsigned n = 0;
+        for (std::uint16_t g : t.gapTable_)
+            n += g == SyntheticTrace::kGapUntabled ? 1 : 0;
+        return n;
+    }
+
+    static double gapMean(const SyntheticTrace &t) { return t.gapMean_; }
+};
+
+} // namespace dasdram
 
 using namespace dasdram;
 
@@ -211,5 +259,228 @@ TEST(SpecProfiles, DensityBudgetRespectsFastLevel)
              p.hotFraction * active) /
             active;
         EXPECT_LE(density, 4.6) << name;
+    }
+}
+
+namespace
+{
+
+using Probe = SyntheticTraceProbe;
+
+#ifdef DASDRAM_GAP_SWEEP_FULL
+constexpr std::uint64_t kSweepWindow = 3000;
+constexpr int kSweepRandomDraws = 20'000'000;
+#else
+constexpr std::uint64_t kSweepWindow = 256;
+constexpr int kSweepRandomDraws = 200'000;
+#endif
+
+/** One past the largest 53-bit gap draw. */
+constexpr std::uint64_t kDrawLimit = std::uint64_t{1} << 53;
+
+struct GapSweep
+{
+    std::uint64_t checked = 0;
+    std::uint64_t mismatches = 0;
+    std::uint64_t firstMismatch = 0;
+
+    void
+    check(const SyntheticTrace &t, std::uint64_t m)
+    {
+        ++checked;
+        if (Probe::tabled(t, m) != Probe::exact(t, m) && mismatches++ == 0)
+            firstMismatch = m;
+    }
+
+    /** Every draw within kSweepWindow of @p center (clamped to the
+     *  draw range). Windows lying wholly in untabled buckets are
+     *  skipped: there the lookup is gapOf itself. */
+    void
+    around(const SyntheticTrace &t, double center)
+    {
+        const std::uint64_t c =
+            center >= static_cast<double>(kDrawLimit - 1)
+                ? kDrawLimit - 1
+                : static_cast<std::uint64_t>(center);
+        const std::uint64_t lo = c > kSweepWindow ? c - kSweepWindow : 0;
+        const std::uint64_t hi =
+            std::min(c + kSweepWindow, kDrawLimit - 1);
+        if (Probe::untabled(t, lo) && Probe::untabled(t, hi))
+            return;
+        for (std::uint64_t m = lo; m <= hi; ++m)
+            check(t, m);
+    }
+};
+
+/**
+ * Table lookup vs gapOf on random draws, around all 1025 bucket edges
+ * and around every rounding boundary m*_k = -expm1(-(k-1/2)/mean)·2^53
+ * (where the exact gap steps from k-1 to k).
+ */
+GapSweep
+sweepGapTable(const BenchmarkProfile &p)
+{
+    SyntheticTrace t(p, 1);
+    GapSweep sweep;
+    Rng rng(0x5eed);
+    for (int i = 0; i < kSweepRandomDraws; ++i)
+        sweep.check(t, rng.next() >> 11);
+    for (unsigned k = 0; k <= 1024; ++k)
+        sweep.around(t, static_cast<double>(k) * 0x1.0p43);
+    const double mean = Probe::gapMean(t);
+    for (std::uint32_t k = 1; mean > 0.0 && k < 0xffff; ++k) {
+        double m = -std::expm1(-(k - 0.5) / mean) * 0x1.0p53;
+        if (m >= 0x1.0p53)
+            break;
+        sweep.around(t, m);
+    }
+    return sweep;
+}
+
+const double kSweptMemRatios[] = {0.0002, 0.01, 0.05, 0.5, 0.9, 0.99, 1.0};
+
+} // namespace
+
+TEST(GapTable, MatchesGapOfOnEverySpecProfile)
+{
+    for (const std::string &name : specBenchmarks()) {
+        GapSweep sweep = sweepGapTable(specProfile(name));
+        EXPECT_GT(sweep.checked, static_cast<std::uint64_t>(
+                                     kSweepRandomDraws))
+            << name;
+        EXPECT_EQ(sweep.mismatches, 0u)
+            << name << ": first mismatch at draw " << sweep.firstMismatch;
+    }
+}
+
+TEST(GapTable, MatchesGapOfAcrossMemRatios)
+{
+    for (double ratio : kSweptMemRatios) {
+        BenchmarkProfile p = specProfile("mcf");
+        p.memRatio = ratio;
+        GapSweep sweep = sweepGapTable(p);
+        EXPECT_EQ(sweep.mismatches, 0u)
+            << "memRatio " << ratio << ": first mismatch at draw "
+            << sweep.firstMismatch;
+    }
+}
+
+TEST(GapTable, TabulatesAlmostEverySpecDraw)
+{
+    // Only buckets straddling a rounding boundary fall back to gapOf:
+    // a few dozen at SPEC gap means, every bucket when the mean gap
+    // is thousands of instructions.
+    for (const std::string &name : specBenchmarks()) {
+        SyntheticTrace t(specProfile(name), 1);
+        EXPECT_LE(Probe::untabledBuckets(t), 32u) << name;
+        EXPECT_GE(Probe::untabledBuckets(t), 1u) << name; // u -> 1
+    }
+    BenchmarkProfile sparse = specProfile("mcf");
+    sparse.memRatio = 0.0002;
+    EXPECT_EQ(Probe::untabledBuckets(SyntheticTrace(sparse, 1)), 1024u);
+}
+
+namespace
+{
+
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** FNV-1a over (gap u32, addr u64, isWrite u8) little-endian. */
+std::uint64_t
+streamDigest(const BenchmarkProfile &p, std::uint64_t seed, int records)
+{
+    SyntheticTrace t(p, seed);
+    TraceEntry e;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < records; ++i) {
+        t.next(e);
+        h = fnv1a(h, e.gap, 4);
+        h = fnv1a(h, e.addr, 8);
+        h = fnv1a(h, e.isWrite ? 1 : 0, 1);
+    }
+    return h;
+}
+
+std::uint64_t
+bytesDigest(const std::vector<unsigned char> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : bytes)
+        h = fnv1a(h, c, 1);
+    return h;
+}
+
+} // namespace
+
+TEST(SynthTrace, FirstRecordsMatchPinnedDigests)
+{
+    // Digests of the first 100 k records (seed 42) as generated by the
+    // direct log() gap sampler the table replaced. Any change here is
+    // a change to every simulated result.
+    const std::pair<const char *, std::uint64_t> spec[] = {
+        {"astar", 0x832993ccb4f12130ULL},
+        {"cactusADM", 0x62fbcc5e1d86f862ULL},
+        {"GemsFDTD", 0x47354b42581bc4f2ULL},
+        {"lbm", 0xdaa397d0cc7c0173ULL},
+        {"leslie3d", 0x31b9698586621749ULL},
+        {"libquantum", 0x81bbf17380cf3525ULL},
+        {"mcf", 0xd7b500b961b9027eULL},
+        {"milc", 0x9a86068b3d87c7c8ULL},
+        {"omnetpp", 0xbc1b03fd4cfa69a6ULL},
+        {"soplex", 0x001e2947e1b5093eULL},
+    };
+    for (const auto &[name, digest] : spec)
+        EXPECT_EQ(streamDigest(specProfile(name), 42, 100000), digest)
+            << name;
+
+    const std::uint64_t by_ratio[] = {
+        0x59a8f9bbf34b0fc3ULL, 0x2ae5eb508d0a8f3dULL,
+        0xc309b7fc311c71c3ULL, 0x135a50bde491fdecULL,
+        0xa1afb27137f8280bULL, 0xaacdafbcefe1797fULL,
+        0xaacdafbcefe1797fULL,
+    };
+    for (std::size_t i = 0; i < std::size(kSweptMemRatios); ++i) {
+        BenchmarkProfile p = specProfile("mcf");
+        p.memRatio = kSweptMemRatios[i];
+        EXPECT_EQ(streamDigest(p, 42, 100000), by_ratio[i])
+            << "memRatio " << p.memRatio;
+    }
+}
+
+TEST(SynthTrace, SnapshotMidStreamContinuesIdentically)
+{
+    SyntheticTrace straight(specProfile("mcf"), 42);
+    TraceEntry a, b;
+    for (int i = 0; i < 5000; ++i)
+        straight.next(a);
+    Archive out;
+    straight.serdeState(out);
+    std::vector<unsigned char> bytes = out.take();
+    // The v1 snapshot layout, pinned by size and digest.
+    EXPECT_EQ(bytes.size(), 35138u);
+    EXPECT_EQ(bytesDigest(bytes), 0x0f2be09d4bc1a3acULL);
+
+    // Restore into a trace built with another memory ratio: the
+    // snapshot's gap mean must take over, table included.
+    BenchmarkProfile other = specProfile("mcf");
+    other.memRatio = 0.05;
+    SyntheticTrace restored(other, 42);
+    Archive in(bytes);
+    restored.serdeState(in);
+    in.finish();
+    for (int i = 0; i < 50000; ++i) {
+        straight.next(a);
+        restored.next(b);
+        ASSERT_EQ(a.gap, b.gap) << "record " << i;
+        ASSERT_EQ(a.addr, b.addr) << "record " << i;
+        ASSERT_EQ(a.isWrite, b.isWrite) << "record " << i;
     }
 }
