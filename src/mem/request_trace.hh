@@ -195,7 +195,7 @@ class RequestTraceSink
     virtual ~RequestTraceSink() = default;
 
     /** Called once per sampled request, at completion, in completion
-     *  order (deterministic across engines and channel threading). */
+     *  order (deterministic across engines). */
     virtual void onSpan(const RequestSpan &span) = 0;
 };
 

@@ -94,6 +94,14 @@ TEST(ConfigJson, UnknownKeysAreFatal)
                  "l9SizeBytes");
 }
 
+// Per-channel threading was removed: a config file written before
+// that still names the key and must fail loudly, not run silently.
+TEST(ConfigJson, RemovedChannelThreadsKeyIsFatal)
+{
+    EXPECT_DEATH(configFromJson(R"({"channelThreads": 4})"),
+                 "channelThreads");
+}
+
 TEST(ConfigJson, MalformedJsonIsFatal)
 {
     EXPECT_DEATH(configFromJson("{nope"), "");

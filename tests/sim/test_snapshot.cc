@@ -149,7 +149,7 @@ TEST(SnapshotDeathTest, ConfigFingerprintMismatchIsFatal)
     das_sys.saveSnapshot(path);
 
     // A state-shaping difference (the design) must refuse to restore;
-    // engine/threading/output differences deliberately do not.
+    // engine and output differences deliberately do not.
     SimConfig std_cfg = snapConfig(DesignKind::Standard);
     SyntheticTrace t2(snapProfile(), 1);
     System std_sys(std_cfg, {&t2});
@@ -167,19 +167,17 @@ TEST(Snapshot, RestoredRunIsBitIdentical)
     std::remove(path.c_str());
 }
 
-TEST(Snapshot, RestoreCrossesEngineAndThreads)
+TEST(Snapshot, RestoreCrossesEngine)
 {
     std::string path = tmpPath("snap_cross.ckpt");
     SimConfig cfg = snapConfig();
     cfg.engine = SimEngine::Event;
     std::string straight = runWithCheckpoint(cfg, 200'000, path);
 
-    // The fingerprint admits engine and channel-threading changes:
-    // restoring under the tick engine with wider threading must still
-    // reproduce the event run bit for bit.
+    // The fingerprint admits an engine change: restoring under the
+    // tick engine must still reproduce the event run bit for bit.
     SimConfig other = cfg;
     other.engine = SimEngine::Tick;
-    other.channelThreads = 2;
     std::string restored = runRestored(other, path);
     EXPECT_EQ(straight, restored);
     std::remove(path.c_str());

@@ -49,15 +49,16 @@
  * after tick CYCLE ("warmup:PATH" saves right after the warm-up
  * reset); --restore PATH resumes from such a snapshot, and the resumed
  * run is bit-identical to the uninterrupted one (same stats JSONL,
- * same command-trace and span-JSONL suffix) under either engine and
- * any --channel-threads value. Both flags run the point directly —
- * no summary, and --baseline/--csv/--json do not apply. --warm-dir
- * DIR instead enables warm-start sharing inside the sweep engine:
+ * same command-trace and span-JSONL suffix) under either engine.
+ * Both flags run the point directly — no summary, and
+ * --baseline/--csv/--json do not apply. --warm-dir DIR instead
+ * enables warm-start sharing inside the sweep engine:
  * each point forks from (or publishes) the warmed snapshot of its
  * config fingerprint under DIR, so re-running against the same
  * directory skips all warm-up re-simulation bit-identically.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -79,9 +80,34 @@ using namespace dasdram;
 namespace
 {
 
+/** The keys --set accepts, in the order --help lists them. */
+constexpr const char *kSetKeys[] = {
+    "das.threshold",    "das.tcBytes",
+    "das.replacement",  "das.exclusive",
+    "layout.groupSize", "layout.fastRatioDenom",
+    "sim.warmup",
+};
+
+std::string
+setKeyList()
+{
+    std::string out;
+    for (const char *k : kSetKeys)
+        out += (out.empty() ? "" : ", ") + std::string(k);
+    return out;
+}
+
 void
 applyOverrides(SimConfig &cfg, const Config &overrides)
 {
+    // An unknown key would otherwise run the default silently.
+    for (const std::string &key : overrides.keys()) {
+        if (std::find(std::begin(kSetKeys), std::end(kSetKeys), key) ==
+            std::end(kSetKeys)) {
+            fatal("unknown --set key '{}' (valid keys: {})", key,
+                  setKeyList());
+        }
+    }
     cfg.das.promotion.threshold = static_cast<unsigned>(
         overrides.getUInt("das.threshold",
                           cfg.das.promotion.threshold));
@@ -191,9 +217,6 @@ main(int argc, char **argv)
                 "(direct rerun)")
         .optionUInt("--epoch", "N",
                     "stats time-series epoch in memory cycles (0 = off)")
-        .optionUInt("--channel-threads", "N",
-                    "threads advancing DRAM channels inside the memory "
-                    "clock (bit-identical results; default 1)")
         .flag("--baseline",
               "also run standard DRAM and report the improvement")
         .flag("--stats", "dump the full stats tree (direct rerun)")
@@ -209,9 +232,7 @@ main(int argc, char **argv)
                 "warm-start checkpoint directory shared by sweep "
                 "points (see the header of tools/dasdram_run.cc)")
         .option("--set", "key=value",
-                "config override, repeatable: das.threshold, "
-                "das.tcBytes, das.replacement, das.exclusive, "
-                "layout.groupSize, layout.fastRatioDenom, sim.warmup");
+                "config override, repeatable: " + setKeyList());
     addConfigOptions(cli);
     cli.parse(argc, argv);
 
@@ -230,12 +251,6 @@ main(int argc, char **argv)
         cfg.engine = parseEngine(cli.str("--engine"));
     if (cli.given("--epoch"))
         cfg.obs.epochMemCycles = cli.uns("--epoch", 0);
-    if (cli.given("--channel-threads")) {
-        cfg.channelThreads =
-            static_cast<unsigned>(cli.uns("--channel-threads", 0));
-        if (cfg.channelThreads == 0)
-            fatal("--channel-threads needs a positive integer");
-    }
     cfg.protocolCheck = cli.enabled("--check", cfg.protocolCheck);
 
     unsigned jobs = static_cast<unsigned>(cli.uns("--jobs", 0));
