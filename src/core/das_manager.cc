@@ -7,6 +7,14 @@
 namespace dasdram
 {
 
+namespace
+{
+
+/** Base address of the in-memory translation table region. */
+constexpr Addr kTableBase = 7ULL * GiB + 512 * MiB;
+
+} // namespace
+
 DasManager::DasManager(DramSystem &dram, CacheHierarchy *caches,
                        const AsymmetricLayout &layout,
                        const DasConfig &cfg)
@@ -137,7 +145,7 @@ DasManager::access(Addr addr, bool is_write, int core, Continuation cont,
         return;
     }
 
-    Addr tline = TranslationTable::entryAddr(cfg_.tableBase, acc.logical) &
+    Addr tline = TranslationTable::entryAddr(kTableBase, acc.logical) &
                  ~(dram_->geometry().lineBytes - 1);
     if (caches_->llcSideAccess(tline)) {
         tableWalksLlc_.inc();

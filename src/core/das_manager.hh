@@ -61,8 +61,6 @@ struct DasConfig
      * latency trade-off is).
      */
     bool exclusiveCache = true;
-    /** Base address of the in-memory translation table region. */
-    Addr tableBase = 7ULL * GiB + 512 * MiB;
     /** LLC hit latency charged to table walks that hit the LLC. */
     Cycle llcLatencyTicks = cpuCyclesToTicks(20);
 };

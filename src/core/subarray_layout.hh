@@ -5,10 +5,14 @@
  *
  * Following Section 4.3, fast subarrays are placed in a reduced
  * interleaving arrangement so every migration group contains both fast
- * and slow rows of the same bank, giving short migration paths. We
- * model this as: each bank's rows are divided into migration groups of
- * @c groupSize consecutive rows; the first @c fastSlotsPerGroup
- * physical slots of each group live in fast subarrays.
+ * and slow rows of the same bank, giving short migration paths. Of
+ * Figure 5's options, partitioning (all fast subarrays at one end of
+ * the bank) makes migration paths long, and strict 1:1 interleaving
+ * locks the fast ratio; reduced interleaving (1:2 fast:slow) is the
+ * paper's choice and the only arrangement modelled. We model it as:
+ * each bank's rows are divided into migration groups of @c groupSize
+ * consecutive rows; the first @c fastSlotsPerGroup physical slots of
+ * each group live in fast subarrays.
  */
 
 #ifndef DASDRAM_CORE_SUBARRAY_LAYOUT_HH
@@ -22,14 +26,6 @@
 namespace dasdram
 {
 
-/** Subarray arrangement options (Figure 5). */
-enum class Arrangement
-{
-    Partitioning,        ///< all fast subarrays at one end of the bank
-    Interleaving,        ///< strict 1:1 alternation (ratio locked)
-    ReducedInterleaving, ///< 1:2 fast:slow pattern (paper's choice)
-};
-
 /** Layout parameters. */
 struct LayoutConfig
 {
@@ -37,7 +33,6 @@ struct LayoutConfig
     unsigned fastRatioDenom = 8;
     /** Migration group size in rows. Table 1: 32. */
     unsigned groupSize = 32;
-    Arrangement arrangement = Arrangement::ReducedInterleaving;
 };
 
 /**

@@ -1,9 +1,9 @@
 /**
  * @file
- * The uniform --config/--dump-config command-line protocol shared by
- * every dasdram tool.
+ * The --config/--dump-config command-line protocol shared by the tools
+ * that build a simulation from a SimConfig (dasdram_run, dasdram_fuzz).
  *
- * Protocol (identical in all five tools):
+ * Protocol:
  *   --config FILE    load FILE as a JSON configuration over the tool's
  *                    defaults. Unknown keys are fatal, so typos and
  *                    files from newer builds fail loudly instead of
@@ -11,7 +11,7 @@
  *                    loaded values.
  *   --dump-config    print the complete effective configuration as
  *                    JSON and exit 0 — the output round-trips through
- *                    --config on any tool.
+ *                    --config.
  *
  * Usage pattern:
  *   addConfigOptions(cli);

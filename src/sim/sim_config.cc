@@ -1,7 +1,11 @@
 #include "sim_config.hh"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <set>
+#include <type_traits>
+#include <utility>
 
 #include "common/binfmt.hh"
 #include "common/json.hh"
@@ -53,104 +57,253 @@ applySimScale(SimConfig &cfg)
 namespace
 {
 
-/** Canonical (parseDesign-compatible) token for a design. */
+template <typename E>
 const char *
-designKey(DesignKind kind)
+spellingOf(E value)
 {
-    switch (kind) {
-      case DesignKind::Standard: return "standard";
-      case DesignKind::Sas: return "sas";
-      case DesignKind::Charm: return "charm";
-      case DesignKind::Das: return "das";
-      case DesignKind::DasFm: return "das-fm";
-      case DesignKind::Fs: return "fs";
+    for (const Spelling<E> &s : EnumSpellings<E>::table) {
+        if (s.value == value)
+            return s.name;
     }
-    return "?";
+    panic("enum value {} has no config spelling",
+          static_cast<int>(value));
+}
+
+template <typename E>
+E
+parseSpelling(std::string_view path, const std::string &token)
+{
+    if constexpr (requires { EnumSpellings<E>::parse(token); }) {
+        return EnumSpellings<E>::parse(token);
+    } else {
+        std::string names;
+        for (const Spelling<E> &s : EnumSpellings<E>::table) {
+            if (token == s.name)
+                return s.value;
+            names += (names.empty() ? "" : "|") + std::string(s.name);
+        }
+        fatal("config: '{}' must be one of {}, got '{}'", path, names,
+              token);
+    }
+}
+
+void
+expectKind(std::string_view path, const JsonValue &j, JsonValue::Kind kind,
+           const char *kind_name)
+{
+    if (j.kind != kind)
+        fatal("config: '{}' must be {}", path, kind_name);
 }
 
 /**
- * Field-wise reader over one JSON object: every getter is optional
- * (absent keys keep the caller's default) but typed (a wrong kind is
- * fatal), and finish() rejects keys no getter consumed — a typo'd key
- * never silently runs the default configuration.
+ * The one typed setter behind configFromJson and setConfigField:
+ * numbers must be finite, and integer fields take only integral
+ * values the field can hold — never a silent truncation or wrap.
  */
-class ObjReader
+template <typename T>
+void
+assignField(std::string_view path, const JsonValue &j, T &out)
+{
+    using Kind = JsonValue::Kind;
+    if constexpr (std::is_same_v<T, std::string>) {
+        expectKind(path, j, Kind::String, "a string");
+        out = j.string;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        expectKind(path, j, Kind::Bool, "a bool");
+        out = j.boolean;
+    } else if constexpr (std::is_enum_v<T>) {
+        expectKind(path, j, Kind::String, "a string");
+        out = parseSpelling<T>(path, j.string);
+    } else {
+        expectKind(path, j, Kind::Number, "a number");
+        const double x = j.number;
+        if (!std::isfinite(x))
+            fatal("config: '{}' must be finite, got {}", path, x);
+        if constexpr (std::is_floating_point_v<T>) {
+            out = x;
+        } else {
+            static_assert(std::is_unsigned_v<T>);
+            // 2^digits is the first value T cannot hold; exact in a
+            // double, unlike numeric_limits<T>::max() for 64 bits.
+            if (x < 0 || x != std::floor(x) ||
+                x >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+                fatal("config: '{}' must be an integer in [0, {}], got "
+                      "{:.17}",
+                      path, std::numeric_limits<T>::max(), x);
+            }
+            out = static_cast<T>(x);
+        }
+    }
+}
+
+/** "section.key" → {"section", "key"}; a top-level "key" → {"", "key"}. */
+std::pair<std::string_view, std::string_view>
+splitPath(std::string_view path)
+{
+    const std::size_t dot = path.find('.');
+    if (dot == std::string_view::npos)
+        return {{}, path};
+    return {path.substr(0, dot), path.substr(dot + 1)};
+}
+
+/**
+ * Writes each visited field under its path, opening and closing the
+ * section objects as the table moves between them; with
+ * semantic_only, FieldTag::Inert fields are skipped.
+ */
+class JsonOut
 {
   public:
-    ObjReader(const JsonValue &v, std::string path)
-        : v_(v), path_(std::move(path))
+    explicit JsonOut(bool semantic_only) : semanticOnly_(semantic_only)
     {
-        if (!v_.isObject())
-            fatal("config: '{}' must be a JSON object", path_);
-    }
-
-    const JsonValue *
-    get(const char *key, JsonValue::Kind kind, const char *kind_name)
-    {
-        consumed_.insert(key);
-        const JsonValue *m = v_.find(key);
-        if (!m)
-            return nullptr;
-        if (m->kind != kind)
-            fatal("config: '{}.{}' must be a {}", path_, key, kind_name);
-        return m;
-    }
-
-    void
-    num(const char *key, double &out)
-    {
-        if (const JsonValue *m =
-                get(key, JsonValue::Kind::Number, "number"))
-            out = m->number;
+        w_.beginObject();
     }
 
     template <typename T>
     void
-    uns(const char *key, T &out)
+    field(std::string_view path, T &v, FieldTag tag)
     {
-        if (const JsonValue *m =
-                get(key, JsonValue::Kind::Number, "number")) {
-            if (m->number < 0)
-                fatal("config: '{}.{}' must be non-negative", path_, key);
-            out = static_cast<T>(m->number);
+        if (semanticOnly_ && tag != FieldTag::Semantic)
+            return;
+        const auto [section, key] = splitPath(path);
+        if (section != section_) {
+            if (!section_.empty())
+                w_.endObject();
+            if (!section.empty())
+                w_.key(section).beginObject();
+            section_ = section;
         }
+        w_.key(key);
+        if constexpr (std::is_enum_v<T>)
+            w_.value(spellingOf(v));
+        else
+            w_.value(v);
     }
 
+    std::string
+    finish()
+    {
+        if (!section_.empty())
+            w_.endObject();
+        w_.endObject();
+        return w_.str();
+    }
+
+  private:
+    bool semanticOnly_;
+    JsonWriter w_;
+    std::string_view section_;
+};
+
+std::string
+writeJson(const SimConfig &cfg, bool semantic_only)
+{
+    SimConfig c = cfg;
+    JsonOut out(semantic_only);
+    visitFields(c, out);
+    return out.finish();
+}
+
+/** Collects every table path, in table order. */
+struct PathLister
+{
+    std::string list;
+
+    template <typename T>
     void
-    boolean(const char *key, bool &out)
+    field(std::string_view path, T &, FieldTag)
     {
-        if (const JsonValue *m = get(key, JsonValue::Kind::Bool, "bool"))
-            out = m->boolean;
+        list += (list.empty() ? "" : ", ") + std::string(path);
     }
+};
 
+std::string
+validPaths()
+{
+    PathLister lister;
+    SimConfig c;
+    visitFields(c, lister);
+    return lister.list;
+}
+
+[[noreturn]] void
+unknownKey(std::string_view path)
+{
+    fatal("config: unknown key '{}' (valid keys: {})", path, validPaths());
+}
+
+/** Reads every visited field present in a parsed JSON document. */
+class JsonIn
+{
+  public:
+    explicit JsonIn(const JsonValue &root) : root_(root) {}
+
+    template <typename T>
     void
-    str(const char *key, std::string &out)
+    field(std::string_view path, T &v, FieldTag)
     {
-        if (const JsonValue *m =
-                get(key, JsonValue::Kind::String, "string"))
-            out = m->string;
+        leaves_.emplace(path);
+        const auto [section, key] = splitPath(path);
+        const JsonValue *obj = &root_;
+        if (!section.empty()) {
+            sections_.emplace(section);
+            obj = root_.find(section);
+            if (!obj)
+                return;
+            if (!obj->isObject())
+                fatal("config: '{}' must be an object", section);
+        }
+        if (const JsonValue *m = obj->find(key))
+            assignField(path, *m, v);
     }
 
-    /** Nested object, or nullptr when absent. */
-    const JsonValue *
-    section(const char *key)
-    {
-        return get(key, JsonValue::Kind::Object, "object");
-    }
-
+    /** Fatal on the first key that no table path names. */
     void
-    finish() const
+    rejectUnknown() const
     {
-        for (const auto &[key, value] : v_.object) {
-            if (!consumed_.count(key))
-                fatal("config: unknown key '{}.{}'", path_, key);
+        for (const auto &[key, value] : root_.object) {
+            if (!sections_.count(key)) {
+                if (!leaves_.count(key))
+                    unknownKey(key);
+                continue;
+            }
+            for (const auto &[sub, unused] : value.object) {
+                if (!leaves_.count(key + "." + sub))
+                    unknownKey(key + "." + sub);
+            }
         }
     }
 
   private:
-    const JsonValue &v_;
-    std::string path_;
-    std::set<std::string> consumed_;
+    const JsonValue &root_;
+    std::set<std::string, std::less<>> sections_;
+    std::set<std::string, std::less<>> leaves_;
+};
+
+/** Assigns the text of one "path=value" to the field at path. */
+struct FieldSetter
+{
+    std::string_view path, text;
+    bool found = false;
+
+    template <typename T>
+    void
+    field(std::string_view p, T &v, FieldTag)
+    {
+        if (p != path)
+            return;
+        found = true;
+        JsonValue j;
+        // Text that is not JSON reaches the setter as a string, which
+        // it rejects for a number or bool field by name.
+        if (std::is_same_v<T, std::string> || std::is_enum_v<T> ||
+            !parseJson(text, j)) {
+            j = JsonValue{};
+            j.kind = JsonValue::Kind::String;
+            j.string = text;
+        }
+        assignField(path, j, v);
+    }
 };
 
 } // namespace
@@ -158,81 +311,7 @@ class ObjReader
 std::string
 configToJson(const SimConfig &cfg)
 {
-    JsonWriter w;
-    w.beginObject();
-    w.field("workload", cfg.workload);
-    w.field("design", designKey(cfg.design));
-    w.field("engine", toString(cfg.engine));
-    w.field("seed", cfg.seed);
-    w.field("instructionsPerCore", cfg.instructionsPerCore);
-    w.field("warmupFraction", cfg.warmupFraction);
-    w.field("profileWindowMultiplier", cfg.profileWindowMultiplier);
-    w.field("coreStrideBytes", cfg.coreStride);
-    w.field("protocolCheck", cfg.protocolCheck);
-    w.field("mshrsPerCore", cfg.mshrsPerCore);
-
-    w.key("core").beginObject();
-    w.field("issueWidth", cfg.core.issueWidth);
-    w.field("robSize", cfg.core.robSize);
-    w.endObject();
-
-    w.key("caches").beginObject();
-    w.field("l1SizeBytes", cfg.caches.l1.sizeBytes);
-    w.field("l1Assoc", cfg.caches.l1.assoc);
-    w.field("l2SizeBytes", cfg.caches.l2.sizeBytes);
-    w.field("l2Assoc", cfg.caches.l2.assoc);
-    w.field("llcSizeBytes", cfg.caches.llc.sizeBytes);
-    w.field("llcAssoc", cfg.caches.llc.assoc);
-    w.field("l1LatencyCpu", cfg.caches.l1LatencyCpu);
-    w.field("l2LatencyCpu", cfg.caches.l2LatencyCpu);
-    w.field("llcLatencyCpu", cfg.caches.llcLatencyCpu);
-    w.endObject();
-
-    w.key("geometry").beginObject();
-    w.field("channels", cfg.geom.channels);
-    w.field("ranksPerChannel", cfg.geom.ranksPerChannel);
-    w.field("banksPerRank", cfg.geom.banksPerRank);
-    w.field("rowsPerBank", cfg.geom.rowsPerBank);
-    w.field("rowBytes", cfg.geom.rowBytes);
-    w.field("lineBytes", cfg.geom.lineBytes);
-    w.endObject();
-
-    w.key("controller").beginObject();
-    w.field("readQueueDepth", cfg.ctrl.readQueueDepth);
-    w.field("writeQueueDepth", cfg.ctrl.writeQueueDepth);
-    w.field("writeHighWatermark", cfg.ctrl.writeHighWatermark);
-    w.field("writeLowWatermark", cfg.ctrl.writeLowWatermark);
-    w.field("refreshEnabled", cfg.ctrl.refreshEnabled);
-    w.field("migrationMaxDefer", cfg.ctrl.migrationMaxDefer);
-    w.endObject();
-
-    w.key("layout").beginObject();
-    w.field("fastRatioDenom", cfg.layout.fastRatioDenom);
-    w.field("groupSize", cfg.layout.groupSize);
-    w.endObject();
-
-    w.key("das").beginObject();
-    w.field("translationCacheBytes", cfg.das.translationCacheBytes);
-    w.field("translationCacheAssoc", cfg.das.translationCacheAssoc);
-    w.field("promotionThreshold", cfg.das.promotion.threshold);
-    w.field("promotionCounters", cfg.das.promotion.counters);
-    w.field("replacement", toString(cfg.das.replacement));
-    w.field("exclusiveCache", cfg.das.exclusiveCache);
-    w.endObject();
-
-    w.key("observability").beginObject();
-    w.field("histograms", cfg.obs.histograms);
-    w.field("epochMemCycles", cfg.obs.epochMemCycles);
-    w.field("statsOut", cfg.obs.statsOut);
-    w.field("statsDir", cfg.obs.statsDir);
-    w.field("traceOut", cfg.obs.traceOut);
-    w.field("traceRequests", cfg.obs.traceRequests);
-    w.field("spansOut", cfg.obs.spansOut);
-    w.field("label", cfg.obs.label);
-    w.endObject();
-
-    w.endObject();
-    return w.str();
+    return writeJson(cfg, false);
 }
 
 SimConfig
@@ -242,120 +321,39 @@ configFromJson(const std::string &text, SimConfig base)
     std::string err;
     if (!parseJson(text, root, &err))
         fatal("config: malformed JSON: {}", err);
+    if (!root.isObject())
+        fatal("config: the document must be a JSON object");
 
     SimConfig cfg = std::move(base);
-    ObjReader r(root, "config");
-    r.str("workload", cfg.workload);
-    std::string token;
-    token.clear();
-    r.str("design", token);
-    if (!token.empty())
-        cfg.design = parseDesign(token);
-    token.clear();
-    r.str("engine", token);
-    if (!token.empty())
-        cfg.engine = parseEngine(token);
-    r.uns("seed", cfg.seed);
-    r.uns("instructionsPerCore", cfg.instructionsPerCore);
-    r.num("warmupFraction", cfg.warmupFraction);
-    r.num("profileWindowMultiplier", cfg.profileWindowMultiplier);
-    r.uns("coreStrideBytes", cfg.coreStride);
-    r.boolean("protocolCheck", cfg.protocolCheck);
-    r.uns("mshrsPerCore", cfg.mshrsPerCore);
-
-    if (const JsonValue *v = r.section("core")) {
-        ObjReader s(*v, "config.core");
-        s.uns("issueWidth", cfg.core.issueWidth);
-        s.uns("robSize", cfg.core.robSize);
-        s.finish();
-    }
-    if (const JsonValue *v = r.section("caches")) {
-        ObjReader s(*v, "config.caches");
-        s.uns("l1SizeBytes", cfg.caches.l1.sizeBytes);
-        s.uns("l1Assoc", cfg.caches.l1.assoc);
-        s.uns("l2SizeBytes", cfg.caches.l2.sizeBytes);
-        s.uns("l2Assoc", cfg.caches.l2.assoc);
-        s.uns("llcSizeBytes", cfg.caches.llc.sizeBytes);
-        s.uns("llcAssoc", cfg.caches.llc.assoc);
-        s.uns("l1LatencyCpu", cfg.caches.l1LatencyCpu);
-        s.uns("l2LatencyCpu", cfg.caches.l2LatencyCpu);
-        s.uns("llcLatencyCpu", cfg.caches.llcLatencyCpu);
-        s.finish();
-    }
-    if (const JsonValue *v = r.section("geometry")) {
-        ObjReader s(*v, "config.geometry");
-        s.uns("channels", cfg.geom.channels);
-        s.uns("ranksPerChannel", cfg.geom.ranksPerChannel);
-        s.uns("banksPerRank", cfg.geom.banksPerRank);
-        s.uns("rowsPerBank", cfg.geom.rowsPerBank);
-        s.uns("rowBytes", cfg.geom.rowBytes);
-        s.uns("lineBytes", cfg.geom.lineBytes);
-        s.finish();
-    }
-    if (const JsonValue *v = r.section("controller")) {
-        ObjReader s(*v, "config.controller");
-        s.uns("readQueueDepth", cfg.ctrl.readQueueDepth);
-        s.uns("writeQueueDepth", cfg.ctrl.writeQueueDepth);
-        s.uns("writeHighWatermark", cfg.ctrl.writeHighWatermark);
-        s.uns("writeLowWatermark", cfg.ctrl.writeLowWatermark);
-        s.boolean("refreshEnabled", cfg.ctrl.refreshEnabled);
-        s.uns("migrationMaxDefer", cfg.ctrl.migrationMaxDefer);
-        s.finish();
-    }
-    if (const JsonValue *v = r.section("layout")) {
-        ObjReader s(*v, "config.layout");
-        s.uns("fastRatioDenom", cfg.layout.fastRatioDenom);
-        s.uns("groupSize", cfg.layout.groupSize);
-        s.finish();
-    }
-    if (const JsonValue *v = r.section("das")) {
-        ObjReader s(*v, "config.das");
-        s.uns("translationCacheBytes", cfg.das.translationCacheBytes);
-        s.uns("translationCacheAssoc", cfg.das.translationCacheAssoc);
-        s.uns("promotionThreshold", cfg.das.promotion.threshold);
-        s.uns("promotionCounters", cfg.das.promotion.counters);
-        token.clear();
-        s.str("replacement", token);
-        if (!token.empty())
-            cfg.das.replacement = parseFastReplPolicy(token);
-        s.boolean("exclusiveCache", cfg.das.exclusiveCache);
-        s.finish();
-    }
-    if (const JsonValue *v = r.section("observability")) {
-        ObjReader s(*v, "config.observability");
-        s.boolean("histograms", cfg.obs.histograms);
-        s.uns("epochMemCycles", cfg.obs.epochMemCycles);
-        s.str("statsOut", cfg.obs.statsOut);
-        s.str("statsDir", cfg.obs.statsDir);
-        s.str("traceOut", cfg.obs.traceOut);
-        s.num("traceRequests", cfg.obs.traceRequests);
-        s.str("spansOut", cfg.obs.spansOut);
-        s.str("label", cfg.obs.label);
-        s.finish();
-    }
-    r.finish();
+    JsonIn in(root);
+    visitFields(cfg, in);
+    in.rejectUnknown();
     return cfg;
+}
+
+void
+setConfigField(SimConfig &cfg, const std::string &assignment)
+{
+    const std::size_t eq = assignment.find('=');
+    if (eq == std::string::npos || eq == 0)
+        fatal("config: malformed assignment '{}' (need path=value)",
+              assignment);
+
+    FieldSetter setter{std::string_view(assignment).substr(0, eq),
+                       std::string_view(assignment).substr(eq + 1)};
+    visitFields(cfg, setter);
+    if (!setter.found)
+        unknownKey(setter.path);
 }
 
 std::uint64_t
 configFingerprint(const SimConfig &cfg)
 {
-    // Canonicalise through the JSON serialisation so the fingerprint
-    // follows the config schema automatically; neutralise the fields
-    // documented as excluded before hashing.
-    SimConfig c = cfg;
-    c.engine = SimEngine::Event;
-    c.obs.statsOut.clear();
-    c.obs.statsDir.clear();
-    c.obs.traceOut.clear();
-    c.obs.spansOut.clear();
-    c.obs.workloadName.clear();
-    c.obs.label.clear();
-    const std::string json = configToJson(c);
+    const std::string json = writeJson(cfg, true);
     std::uint64_t h = binfmt::fnv1a64(json.data(), json.size());
-    // numCores is usually derived from the workload spec and not part
-    // of the JSON schema; systems built with explicit traces set it
-    // directly, so chain it in.
+    // numCores is usually derived from the workload spec and not in
+    // the table; systems built with explicit traces set it directly,
+    // so chain it in.
     const std::uint64_t cores = cfg.numCores;
     return binfmt::fnv1a64(&cores, sizeof(cores), h);
 }

@@ -17,6 +17,7 @@
 #include "cache/hierarchy.hh"
 #include "core/das_manager.hh"
 #include "core/designs.hh"
+#include "core/replacement_policy.hh"
 #include "core/subarray_layout.hh"
 #include "cpu/core.hh"
 #include "dram/controller.hh"
@@ -159,27 +160,214 @@ struct SimConfig
  */
 double applySimScale(SimConfig &cfg);
 
+/**
+ * Whether a config field shapes simulated state. Semantic fields feed
+ * configFingerprint, including observability knobs that change the
+ * serialised shape (histograms, epoch length, span sampling rate).
+ * Inert fields — the engine, the export paths and the run-identity
+ * labels — are proven not to affect state, so a checkpoint restores
+ * under a different engine or output set.
+ */
+enum class FieldTag
+{
+    Semantic,
+    Inert,
+};
+
+/** One enum value and its config spelling. */
+template <typename E>
+struct Spelling
+{
+    E value;
+    const char *name;
+};
+
+/**
+ * The config spellings of an enum field type: table[] gives every
+ * value its canonical token (written by configToJson, listed in
+ * errors); a parse() member, where the enum already has a parse
+ * function, reads tokens instead of a lookup in table[].
+ */
+template <typename E>
+struct EnumSpellings;
+
+template <>
+struct EnumSpellings<DesignKind>
+{
+    static constexpr Spelling<DesignKind> table[] = {
+        {DesignKind::Standard, "standard"}, {DesignKind::Sas, "sas"},
+        {DesignKind::Charm, "charm"},       {DesignKind::Das, "das"},
+        {DesignKind::DasFm, "das-fm"},      {DesignKind::Fs, "fs"},
+    };
+    static DesignKind parse(const std::string &s) { return parseDesign(s); }
+};
+
+template <>
+struct EnumSpellings<SimEngine>
+{
+    static constexpr Spelling<SimEngine> table[] = {
+        {SimEngine::Tick, "tick"}, {SimEngine::Event, "event"},
+    };
+    static SimEngine parse(const std::string &s) { return parseEngine(s); }
+};
+
+template <>
+struct EnumSpellings<FastReplPolicy>
+{
+    static constexpr Spelling<FastReplPolicy> table[] = {
+        {FastReplPolicy::Lru, "lru"},
+        {FastReplPolicy::Random, "random"},
+        {FastReplPolicy::Sequential, "sequential"},
+        {FastReplPolicy::PseudoRandom, "pseudorandom"},
+    };
+    static FastReplPolicy
+    parse(const std::string &s)
+    {
+        return parseFastReplPolicy(s);
+    }
+};
+
+template <>
+struct EnumSpellings<SchedPolicy>
+{
+    static constexpr Spelling<SchedPolicy> table[] = {
+        {SchedPolicy::FrFcfs, "frfcfs"}, {SchedPolicy::Fcfs, "fcfs"},
+    };
+};
+
+template <>
+struct EnumSpellings<PagePolicy>
+{
+    static constexpr Spelling<PagePolicy> table[] = {
+        {PagePolicy::Open, "open"}, {PagePolicy::Closed, "closed"},
+    };
+};
+
+template <>
+struct EnumSpellings<CacheRepl>
+{
+    static constexpr Spelling<CacheRepl> table[] = {
+        {CacheRepl::Lru, "lru"}, {CacheRepl::Random, "random"},
+    };
+};
+
+/**
+ * The field table: every SimConfig field a run reads, listed once as
+ * v.field(path, ref, tag) — its dotted JSON path, a typed reference
+ * (std::string, bool, unsigned, std::uint64_t, double or an enum with
+ * EnumSpellings) and its FieldTag. configToJson, configFromJson,
+ * configFingerprint and setConfigField are visitors over this list,
+ * the idiom of serde.hh's Archive::io: one list drives every
+ * direction, so they cannot drift. A path is "key" or "section.key";
+ * each section's fields stay contiguous.
+ *
+ * Not listed, because System derives them: numCores (from the
+ * workload spec; configFingerprint chains it in), ctrl.histograms
+ * (copied from observability.histograms), das.mode and
+ * das.zeroMigrationLatency (from the design), das.llcLatencyTicks
+ * (from caches.llcLatencyCpu), and the ctrl.cmdSink/ctrl.spanSink
+ * pointers.
+ */
+template <typename Visitor>
+void
+visitFields(SimConfig &c, Visitor &v)
+{
+    constexpr FieldTag S = FieldTag::Semantic;
+    constexpr FieldTag I = FieldTag::Inert;
+    v.field("workload", c.workload, S);
+    v.field("design", c.design, S);
+    v.field("engine", c.engine, I);
+    v.field("seed", c.seed, S);
+    v.field("instructionsPerCore", c.instructionsPerCore, S);
+    v.field("warmupFraction", c.warmupFraction, S);
+    v.field("profileWindowMultiplier", c.profileWindowMultiplier, S);
+    v.field("coreStrideBytes", c.coreStride, S);
+    v.field("protocolCheck", c.protocolCheck, S);
+    v.field("mshrsPerCore", c.mshrsPerCore, S);
+
+    v.field("core.issueWidth", c.core.issueWidth, S);
+    v.field("core.robSize", c.core.robSize, S);
+
+    v.field("caches.l1SizeBytes", c.caches.l1.sizeBytes, S);
+    v.field("caches.l1Assoc", c.caches.l1.assoc, S);
+    v.field("caches.l1LineBytes", c.caches.l1.lineBytes, S);
+    v.field("caches.l1Repl", c.caches.l1.repl, S);
+    v.field("caches.l2SizeBytes", c.caches.l2.sizeBytes, S);
+    v.field("caches.l2Assoc", c.caches.l2.assoc, S);
+    v.field("caches.l2LineBytes", c.caches.l2.lineBytes, S);
+    v.field("caches.l2Repl", c.caches.l2.repl, S);
+    v.field("caches.llcSizeBytes", c.caches.llc.sizeBytes, S);
+    v.field("caches.llcAssoc", c.caches.llc.assoc, S);
+    v.field("caches.llcLineBytes", c.caches.llc.lineBytes, S);
+    v.field("caches.llcRepl", c.caches.llc.repl, S);
+    v.field("caches.l1LatencyCpu", c.caches.l1LatencyCpu, S);
+    v.field("caches.l2LatencyCpu", c.caches.l2LatencyCpu, S);
+    v.field("caches.llcLatencyCpu", c.caches.llcLatencyCpu, S);
+
+    v.field("geometry.channels", c.geom.channels, S);
+    v.field("geometry.ranksPerChannel", c.geom.ranksPerChannel, S);
+    v.field("geometry.banksPerRank", c.geom.banksPerRank, S);
+    v.field("geometry.rowsPerBank", c.geom.rowsPerBank, S);
+    v.field("geometry.rowBytes", c.geom.rowBytes, S);
+    v.field("geometry.lineBytes", c.geom.lineBytes, S);
+
+    v.field("controller.readQueueDepth", c.ctrl.readQueueDepth, S);
+    v.field("controller.writeQueueDepth", c.ctrl.writeQueueDepth, S);
+    v.field("controller.writeHighWatermark", c.ctrl.writeHighWatermark, S);
+    v.field("controller.writeLowWatermark", c.ctrl.writeLowWatermark, S);
+    v.field("controller.sched", c.ctrl.sched, S);
+    v.field("controller.page", c.ctrl.page, S);
+    v.field("controller.refreshEnabled", c.ctrl.refreshEnabled, S);
+    v.field("controller.migrationMaxDefer", c.ctrl.migrationMaxDefer, S);
+
+    v.field("layout.fastRatioDenom", c.layout.fastRatioDenom, S);
+    v.field("layout.groupSize", c.layout.groupSize, S);
+
+    v.field("das.translationCacheBytes", c.das.translationCacheBytes, S);
+    v.field("das.translationCacheAssoc", c.das.translationCacheAssoc, S);
+    v.field("das.promotionThreshold", c.das.promotion.threshold, S);
+    v.field("das.promotionCounters", c.das.promotion.counters, S);
+    v.field("das.replacement", c.das.replacement, S);
+    v.field("das.exclusiveCache", c.das.exclusiveCache, S);
+
+    v.field("observability.histograms", c.obs.histograms, S);
+    v.field("observability.epochMemCycles", c.obs.epochMemCycles, S);
+    v.field("observability.statsOut", c.obs.statsOut, I);
+    v.field("observability.statsDir", c.obs.statsDir, I);
+    v.field("observability.traceOut", c.obs.traceOut, I);
+    v.field("observability.traceRequests", c.obs.traceRequests, S);
+    v.field("observability.spansOut", c.obs.spansOut, I);
+    v.field("observability.workloadName", c.obs.workloadName, I);
+    v.field("observability.label", c.obs.label, I);
+}
+
 /** Serialise @p cfg to compact JSON (configFromJson reads it back). */
 std::string configToJson(const SimConfig &cfg);
 
 /**
  * Parse a configuration from JSON text produced by configToJson (or
  * hand-written with the same keys). Keys are optional — missing ones
- * keep the default in @p base — but unknown keys are fatal, so typos
- * never silently run the default. Returns the merged configuration.
+ * keep the default in @p base — but unknown keys, wrong kinds and
+ * numbers the field cannot hold exactly are fatal, so typos never
+ * silently run the default. Returns the merged configuration.
  */
 SimConfig configFromJson(const std::string &text, SimConfig base = {});
 
 /**
- * Deterministic fingerprint of every configuration field that shapes
- * simulated state. Excluded: the export destinations (statsOut,
- * statsDir, traceOut, spansOut), the run-identity strings
- * (workloadName, label) and the engine — all proven not to affect
- * state, so a checkpoint can be restored under a different engine or
- * output set. Everything else participates, including observability
- * knobs that change the serialised shape (histograms,
- * epochMemCycles, traceRequests).
- * Stamped into checkpoints and enforced at load.
+ * Apply one "path=value" assignment (dasdram_run --set) to @p cfg.
+ * The path is any configToJson path, e.g. das.promotionThreshold;
+ * the value is read by the same typed setter as configFromJson:
+ * string and enum fields take the text as-is, other fields parse it
+ * as a JSON number or bool. Unknown paths are fatal and list every
+ * valid one.
+ */
+void setConfigField(SimConfig &cfg, const std::string &assignment);
+
+/**
+ * Deterministic fingerprint of every FieldTag::Semantic field (plus
+ * numCores): the hash of their JSON image, so a field added to the
+ * table is fingerprinted unless tagged Inert. Stamped into
+ * checkpoints and enforced at load.
  */
 std::uint64_t configFingerprint(const SimConfig &cfg);
 

@@ -13,6 +13,23 @@
 
 using namespace dasdram;
 
+namespace dasdram
+{
+
+// Scheme names in test names instead of gtest's byte dump.
+void
+PrintTo(MappingScheme s, std::ostream *os)
+{
+    switch (s) {
+      case MappingScheme::RoRaBaChCo: *os << "RoRaBaChCo"; return;
+      case MappingScheme::RoBaRaChCo: *os << "RoBaRaChCo"; return;
+      case MappingScheme::ChRaBaRoCo: *os << "ChRaBaRoCo"; return;
+    }
+    *os << static_cast<int>(s);
+}
+
+} // namespace dasdram
+
 class MappingRoundTrip : public ::testing::TestWithParam<MappingScheme>
 {
 };

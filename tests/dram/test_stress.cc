@@ -30,6 +30,16 @@ struct StressParams
     std::uint64_t seed;
 };
 
+// A readable, build-stable test name instead of gtest's byte dump.
+void
+PrintTo(const StressParams &p, std::ostream *os)
+{
+    *os << "req" << p.requests << "_banks" << p.bankSpread << "_rows"
+        << p.rowSpread << "_wr"
+        << static_cast<unsigned>(p.writeFraction * 100 + 0.5) << "pct"
+        << (p.migrations ? "_mig" : "") << "_seed" << p.seed;
+}
+
 class DramStress : public ::testing::TestWithParam<StressParams>
 {
 };

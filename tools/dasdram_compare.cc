@@ -26,7 +26,6 @@
 
 #include "common/cli.hh"
 #include "common/jsonl_diff.hh"
-#include "sim/config_cli.hh"
 
 using namespace dasdram;
 
@@ -40,7 +39,6 @@ main(int argc, char **argv)
                      "symmetric relative tolerance (default 0 = exact)")
         .flag("--quiet", "no per-field output, just the exit status")
         .positionals("jsonl-file", "the two files to compare", 0, 2);
-    addConfigOptions(cli);
 
     // A usage error (including a malformed --tolerance number, which
     // the parser rejects) is exit status 2, not 1 — 1 means "compared
@@ -56,13 +54,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // The uniform --config protocol (analysis tools load and validate
-    // the configuration — unknown keys fatal — and round-trip it via
-    // --dump-config; this tool needs nothing further from it).
-    SimConfig cfg;
-    loadConfigFile(cli, cfg);
-    if (dumpConfigIfRequested(cli, cfg))
-        return 0;
     if (cli.positionalValues().size() != 2) {
         std::fprintf(stderr,
                      "dasdram_compare: need exactly two jsonl-file "

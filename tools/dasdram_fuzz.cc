@@ -130,6 +130,20 @@ main(int argc, char **argv)
         trace = std::make_unique<CommandTrace>(trace_os);
     }
 
+    // Every option that shapes a case besides its name, so a printed
+    // replay line reruns exactly the failing run.
+    const std::uint64_t checkpoint_cycle = cli.uns("--checkpoint-cycle", 0);
+    std::string replay = formatStr(" --seed {} --requests {}", base_seed,
+                                   requests);
+    if (!workload.empty())
+        replay += " --workload '" + workload + "'";
+    if (trace_requests > 0.0)
+        replay += formatStr(" --trace-requests {:.17}", trace_requests);
+    if (checkpoint_cycle > 0)
+        replay += formatStr(" --checkpoint-cycle {}", checkpoint_cycle);
+    replay += differential ? std::string(" --differential")
+                           : formatStr(" --engine {}", toString(engine));
+
     unsigned ran = 0, failed = 0;
     for (FuzzCase &c : defaultFuzzCases(base_seed, requests)) {
         if (!filter.empty() && c.name.find(filter) == std::string::npos)
@@ -142,9 +156,7 @@ main(int argc, char **argv)
         c.engine = engine;
         c.workload = workload;
         c.traceRequests = trace_requests;
-        c.checkpointAtCycle = cli.uns("--checkpoint-cycle", 0);
-        std::string replay_wl =
-            workload.empty() ? "" : " --workload '" + workload + "'";
+        c.checkpointAtCycle = checkpoint_cycle;
         if (differential) {
             FuzzDifferential d = runFuzzDifferential(c);
             ++ran;
@@ -172,11 +184,8 @@ main(int argc, char **argv)
             if (!d.event.firstViolation.empty())
                 std::printf("     event first violation: %s\n",
                             d.event.firstViolation.c_str());
-            std::printf("     replay: %s --seed %llu --requests %u "
-                        "--differential --filter '%s'%s\n",
-                        argv[0],
-                        static_cast<unsigned long long>(base_seed),
-                        requests, c.name.c_str(), replay_wl.c_str());
+            std::printf("     replay: %s%s --filter '%s'\n", argv[0],
+                        replay.c_str(), c.name.c_str());
             continue;
         }
         if (trace)
@@ -232,12 +241,8 @@ main(int argc, char **argv)
                     rep.drained ? 1 : 0);
         if (!rep.firstViolation.empty())
             std::printf("     first: %s\n", rep.firstViolation.c_str());
-        std::printf("     replay: %s --seed %llu --requests %u "
-                    "--engine %s --filter '%s'%s\n",
-                    argv[0],
-                    static_cast<unsigned long long>(base_seed),
-                    requests, toString(engine), rep.name.c_str(),
-                    replay_wl.c_str());
+        std::printf("     replay: %s%s --filter '%s'\n", argv[0],
+                    replay.c_str(), rep.name.c_str());
     }
 
     if (list_only)

@@ -36,7 +36,6 @@
 #include "common/log.hh"
 #include "common/schema_check.hh"
 #include "mem/request_trace.hh"
-#include "sim/config_cli.hh"
 
 using namespace dasdram;
 
@@ -325,16 +324,8 @@ main(int argc, char **argv)
                 "span-JSONL to diff the breakdown against")
         .positionals("spans-jsonl", "span-JSONL dump to analyse", 0,
                      1);
-    addConfigOptions(cli);
     cli.parse(argc, argv);
 
-    // The uniform --config protocol (analysis tools load and validate
-    // the configuration — unknown keys fatal — and round-trip it via
-    // --dump-config; this tool needs nothing further from it).
-    SimConfig cfg;
-    loadConfigFile(cli, cfg);
-    if (dumpConfigIfRequested(cli, cfg))
-        return 0;
     if (cli.positionalValues().empty())
         fatal("missing spans-jsonl argument (see --help)");
 

@@ -43,7 +43,6 @@
 #include "common/log.hh"
 #include "common/schema_check.hh"
 #include "common/stats_jsonl.hh"
-#include "sim/config_cli.hh"
 
 using namespace dasdram;
 
@@ -219,16 +218,8 @@ main(int argc, char **argv)
         .flag("--list",
               "print every record of every file instead of the table")
         .positionals("stats-jsonl", "stats-JSONL dumps to tabulate", 0);
-    addConfigOptions(cli);
     cli.parse(argc, argv);
 
-    // The uniform --config protocol (analysis tools load and validate
-    // the configuration — unknown keys fatal — and round-trip it via
-    // --dump-config; this tool needs nothing further from it).
-    SimConfig cfg;
-    loadConfigFile(cli, cfg);
-    if (dumpConfigIfRequested(cli, cfg))
-        return 0;
 
     const std::vector<std::string> &paths = cli.positionalValues();
     const std::vector<std::string> &metrics = cli.strs("--metric");

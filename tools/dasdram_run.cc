@@ -26,7 +26,9 @@
  * the complete effective configuration as JSON and exits; --config
  * FILE loads such a file as the new defaults (command-line flags still
  * override it). Round trip: dasdram_run --seed 7 --dump-config > c.json
- * && dasdram_run --config c.json runs the same point.
+ * && dasdram_run --config c.json runs the same point. --set PATH=VALUE
+ * (repeatable, applied last) sets any field by its dotted JSON path,
+ * e.g. --set das.promotionThreshold=4 --set controller.sched=fcfs.
  *
  * Trace recording (--record): re-runs the point directly (like
  * --stats) with every core's delivered trace captured to
@@ -58,17 +60,14 @@
  * directory skips all warm-up re-simulation bit-identically.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/cli.hh"
-#include "common/config.hh"
 #include "common/log.hh"
 #include "sim/config_cli.hh"
 #include "sim/experiment.hh"
@@ -79,53 +78,6 @@ using namespace dasdram;
 
 namespace
 {
-
-/** The keys --set accepts, in the order --help lists them. */
-constexpr const char *kSetKeys[] = {
-    "das.threshold",    "das.tcBytes",
-    "das.replacement",  "das.exclusive",
-    "layout.groupSize", "layout.fastRatioDenom",
-    "sim.warmup",
-};
-
-std::string
-setKeyList()
-{
-    std::string out;
-    for (const char *k : kSetKeys)
-        out += (out.empty() ? "" : ", ") + std::string(k);
-    return out;
-}
-
-void
-applyOverrides(SimConfig &cfg, const Config &overrides)
-{
-    // An unknown key would otherwise run the default silently.
-    for (const std::string &key : overrides.keys()) {
-        if (std::find(std::begin(kSetKeys), std::end(kSetKeys), key) ==
-            std::end(kSetKeys)) {
-            fatal("unknown --set key '{}' (valid keys: {})", key,
-                  setKeyList());
-        }
-    }
-    cfg.das.promotion.threshold = static_cast<unsigned>(
-        overrides.getUInt("das.threshold",
-                          cfg.das.promotion.threshold));
-    cfg.das.translationCacheBytes = overrides.getUInt(
-        "das.tcBytes", cfg.das.translationCacheBytes);
-    if (overrides.has("das.replacement")) {
-        cfg.das.replacement = parseFastReplPolicy(
-            overrides.getString("das.replacement", "lru"));
-    }
-    cfg.das.exclusiveCache =
-        overrides.getBool("das.exclusive", cfg.das.exclusiveCache);
-    cfg.layout.groupSize = static_cast<unsigned>(
-        overrides.getUInt("layout.groupSize", cfg.layout.groupSize));
-    cfg.layout.fastRatioDenom = static_cast<unsigned>(overrides.getUInt(
-        "layout.fastRatioDenom", cfg.layout.fastRatioDenom));
-    cfg.warmupFraction =
-        overrides.getDouble("sim.warmup", cfg.warmupFraction);
-}
 
 void
 printSummary(const WorkloadSpec &w, const ExperimentResult &r,
@@ -231,8 +183,9 @@ main(int argc, char **argv)
         .option("--warm-dir", "DIR",
                 "warm-start checkpoint directory shared by sweep "
                 "points (see the header of tools/dasdram_run.cc)")
-        .option("--set", "key=value",
-                "config override, repeatable: " + setKeyList());
+        .option("--set", "path=value",
+                "config override, repeatable: any --dump-config path, "
+                "e.g. das.promotionThreshold=4 or controller.sched=fcfs");
     addConfigOptions(cli);
     cli.parse(argc, argv);
 
@@ -258,12 +211,8 @@ main(int argc, char **argv)
         fatal("--jobs needs a positive integer");
 
     applySimScale(cfg);
-    Config overrides;
-    for (const std::string &kv : cli.strs("--set")) {
-        if (!overrides.applyOverride(kv))
-            fatal("malformed --set argument (need key=value)");
-    }
-    applyOverrides(cfg, overrides);
+    for (const std::string &assignment : cli.strs("--set"))
+        setConfigField(cfg, assignment);
 
     if (dumpConfigIfRequested(cli, cfg))
         return 0;
