@@ -53,12 +53,8 @@ main(int argc, char **argv)
                   benchutil::num(incl.metrics.ppkm(), 1)});
     }
 
-    perf.row({"gmean",
-              benchutil::pct(
-                  ExperimentRunner::gmeanImprovement(excl_imp)),
-              benchutil::pct(
-                  ExperimentRunner::gmeanImprovement(incl_imp)),
-              "", ""});
+    perf.row({"gmean", benchutil::pct(gmeanImprovement(excl_imp)),
+              benchutil::pct(gmeanImprovement(incl_imp)), "", ""});
     perf.print({"benchmark", "exclusive", "inclusive", "PPKM(ex)",
                 "PPKM(in)"});
 

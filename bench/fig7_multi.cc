@@ -81,7 +81,7 @@ main(int argc, char **argv)
     std::vector<std::string> gmean_row{"gmean"};
     for (std::size_t d = 0; d < designs.size(); ++d)
         gmean_row.push_back(
-            benchutil::pct(ExperimentRunner::gmeanImprovement(imp[d])));
+            benchutil::pct(gmeanImprovement(imp[d])));
     improvements.row(gmean_row);
 
     std::vector<std::string> header{"mix"};

@@ -58,7 +58,7 @@ main(int argc, char **argv)
     std::vector<std::string> gmean_row{"gmean"};
     for (std::size_t i = 0; i < 4; ++i)
         gmean_row.push_back(
-            benchutil::pct(ExperimentRunner::gmeanImprovement(imp[i])));
+            benchutil::pct(gmeanImprovement(imp[i])));
     perf.row(gmean_row);
 
     perf.print({"benchmark", "32KB", "64KB", "128KB", "256KB"});

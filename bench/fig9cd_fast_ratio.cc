@@ -42,7 +42,7 @@ printSweep(const std::vector<ExperimentResult> &results,
     std::vector<std::string> gmean_row{"gmean"};
     for (std::size_t i = 0; i < 4; ++i)
         gmean_row.push_back(
-            benchutil::pct(ExperimentRunner::gmeanImprovement(imp[i])));
+            benchutil::pct(gmeanImprovement(imp[i])));
     perf.row(gmean_row);
     perf.print({"benchmark", "1/32", "1/16", "1/8", "1/4"});
 }

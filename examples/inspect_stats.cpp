@@ -9,11 +9,10 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "sim/experiment.hh"
-#include "workload/spec_profiles.hh"
-#include "workload/synth_trace.hh"
 
 using namespace dasdram;
 
@@ -29,15 +28,16 @@ main(int argc, char **argv)
     applySimScale(cfg);
     cfg.design = parseDesign(design);
 
-    const BenchmarkProfile &prof = specProfile(bench);
-    SyntheticTrace trace(prof, cfg.seed, cfg.geom.rowBytes,
-                         cfg.geom.lineBytes);
-    System sys(cfg, {&trace});
-    RunMetrics m = sys.run();
+    // runSimulation runs the profiling pass SAS and CHARM need; the
+    // after-run callback sees the System that produced the metrics.
+    std::ostringstream stats;
+    RunOptions opts;
+    opts.afterRun = [&stats](System &sys) { sys.dumpStats(stats); };
+    RunMetrics m = runSimulation(WorkloadSpec::single(bench), cfg, opts);
 
     std::cout << "# " << bench << " on " << toString(cfg.design) << "\n";
     std::cout << "ipc " << m.ipc[0] << "  mpki " << m.mpki() << "  ppkm "
               << m.ppkm() << "\n\n";
-    sys.dumpStats(std::cout);
+    std::cout << stats.str();
     return 0;
 }

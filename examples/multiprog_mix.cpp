@@ -9,9 +9,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "common/log.hh"
-#include "sim/experiment.hh"
+#include "sim/sweep.hh"
 
 using namespace dasdram;
 
@@ -36,19 +37,24 @@ main(int argc, char **argv)
     std::printf("  (%llu instructions per core)\n\n",
                 static_cast<unsigned long long>(cfg.instructionsPerCore));
 
-    ExperimentRunner runner(cfg);
+    SweepRunner sweep(cfg);
+    for (DesignKind d : allDesigns())
+        sweep.add(w, d);
+    std::vector<ExperimentResult> results = sweep.run();
+
     std::printf("%-14s %-10s  per-core IPC\n", "design", "speedup");
-    for (DesignKind d : allDesigns()) {
-        ExperimentResult r = runner.run(w, d);
-        std::printf("%-14s %+8.2f%%  [", toString(d).c_str(),
+    const RunMetrics *das = nullptr;
+    for (const ExperimentResult &r : results) {
+        std::printf("%-14s %+8.2f%%  [", toString(r.design).c_str(),
                     100.0 * r.perfImprovement);
         for (std::size_t i = 0; i < r.metrics.ipc.size(); ++i)
             std::printf("%s%.3f", i ? ", " : "", r.metrics.ipc[i]);
         std::printf("]\n");
+        if (r.design == DesignKind::Das)
+            das = &r.metrics;
     }
 
-    ExperimentResult das = runner.run(w, DesignKind::Das);
-    const RunMetrics &m = das.metrics;
+    const RunMetrics &m = *das;
     std::printf("\nDAS-DRAM behaviour: MPKI %.2f, PPKM %.2f, "
                 "footprint %.1f MiB, promotions %llu\n",
                 m.mpki(), m.ppkm(), m.footprintMiB(8192),

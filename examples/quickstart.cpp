@@ -10,9 +10,10 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/log.hh"
-#include "sim/experiment.hh"
+#include "sim/sweep.hh"
 
 using namespace dasdram;
 
@@ -26,7 +27,6 @@ main(int argc, char **argv)
     cfg.instructionsPerCore = 2'000'000;
     applySimScale(cfg);
 
-    ExperimentRunner runner(cfg);
     WorkloadSpec workload = WorkloadSpec::single(bench);
     DesignKind design = parseDesign(design_name);
 
@@ -34,8 +34,13 @@ main(int argc, char **argv)
                 bench.c_str(),
                 static_cast<unsigned long long>(cfg.instructionsPerCore));
 
-    ExperimentResult std_res = runner.run(workload, DesignKind::Standard);
-    ExperimentResult res = runner.run(workload, design);
+    // Two grid points: the standard-DRAM baseline and the design.
+    SweepRunner sweep(cfg);
+    sweep.add(workload, DesignKind::Standard);
+    sweep.add(workload, design);
+    std::vector<ExperimentResult> results = sweep.run();
+    const ExperimentResult &std_res = results[0];
+    const ExperimentResult &res = results[1];
 
     const RunMetrics &m = res.metrics;
     std::uint64_t total = m.locations.total();

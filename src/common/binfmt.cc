@@ -43,15 +43,6 @@ fnv1a64(const void *data, std::size_t n, std::uint64_t h)
     return h;
 }
 
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 std::vector<unsigned char>
 encodeEnvelope(std::uint32_t magic, std::uint16_t version,
                const std::vector<unsigned char> &payload)

@@ -50,8 +50,16 @@ void appendLe(std::vector<unsigned char> &out, std::uint64_t v,
 std::uint64_t fnv1a64(const void *data, std::size_t n,
                       std::uint64_t h = 0xcbf29ce484222325ull);
 
-/** splitmix64 mixing step; chains hashes into derived seeds. */
-std::uint64_t splitmix64(std::uint64_t x);
+/** splitmix64 mixing step; chains hashes into derived seeds. Inline:
+ *  the request tracer calls it per sampling decision. */
+inline std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
 
 /// @}
 /// @name Versioned envelope

@@ -1,6 +1,7 @@
 #include "json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -311,6 +312,12 @@ class Parser
             return fail("malformed number");
         out.kind = JsonValue::Kind::Number;
         out.number = v;
+        const char *last = num.data() + num.size();
+        std::uint64_t u = 0;
+        auto [ptr, ec] = std::from_chars(num.data(), last, u);
+        out.exactUint = ec == std::errc() && ptr == last
+                            ? std::optional<std::uint64_t>(u)
+                            : std::nullopt;
         return true;
     }
 

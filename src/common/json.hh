@@ -18,6 +18,7 @@
 #define DASDRAM_COMMON_JSON_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -89,6 +90,12 @@ struct JsonValue
     Kind kind = Kind::Null;
     bool boolean = false;
     double number = 0.0;
+    /**
+     * The exact value of a number literal written as a plain
+     * non-negative integer that fits in 64 bits (`number` rounds it
+     * above 2^53); empty for every other number.
+     */
+    std::optional<std::uint64_t> exactUint;
     std::string string;
     std::vector<JsonValue> array;
     /** Insertion-ordered; duplicate keys keep the last value. */

@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "common/binfmt.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 
@@ -42,21 +43,6 @@ RequestSpan::outcome() const
     return "hit";
 }
 
-namespace
-{
-
-/** splitmix64 finalizer: full-avalanche 64-bit mix. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
-
 RequestTracer::RequestTracer(std::uint64_t seed, double rate)
     : seed_(seed), rate_(rate)
 {
@@ -79,7 +65,9 @@ RequestTracer::maybeStart()
     else if (threshold_ == 0)
         take = false;
     else
-        take = mix64(seed_ ^ mix64(decision)) < threshold_;
+        take = binfmt::splitmix64(seed_ ^
+                                  binfmt::splitmix64(decision)) <
+               threshold_;
     if (!take)
         return nullptr;
     auto span = std::make_unique<RequestSpan>();

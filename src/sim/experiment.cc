@@ -1,5 +1,6 @@
 #include "experiment.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cmath>
@@ -41,12 +42,17 @@ fileExists(const std::string &path)
 
 RunMetrics
 runSimulation(const WorkloadSpec &workload, const SimConfig &cfg_in,
-              const std::string &record_prefix,
-              const std::string &warm_dir)
+              const RunOptions &opts, const std::string &warm_dir)
 {
     SimConfig cfg = cfg_in;
     cfg.numCores = workload.numCores();
     cfg.obs.workloadName = workload.name;
+
+    const bool recording = !opts.recordPrefix.empty();
+    if (recording &&
+        (!opts.restorePath.empty() || !opts.checkpoints.empty()))
+        fatal("trace recording cannot be combined with snapshots "
+              "(recorder file positions are not part of a snapshot)");
 
     // Deterministic per-(workload, core) traces.
     auto traces = buildTraces(workload, cfg.seed, cfg.geom.rowBytes,
@@ -55,10 +61,10 @@ runSimulation(const WorkloadSpec &workload, const SimConfig &cfg_in,
     std::vector<TraceSource *> trace_ptrs;
     for (unsigned i = 0; i < cfg.numCores; ++i) {
         TraceSource *src = traces[i].get();
-        if (!record_prefix.empty()) {
+        if (recording) {
             recorders.push_back(std::make_unique<TraceRecorder>(
                 *src,
-                formatStr("{}.core{}.dastrace", record_prefix, i)));
+                formatStr("{}.core{}.dastrace", opts.recordPrefix, i)));
             src = recorders.back().get();
         }
         trace_ptrs.push_back(src);
@@ -71,18 +77,18 @@ runSimulation(const WorkloadSpec &workload, const SimConfig &cfg_in,
     // completes. The temp-file + rename dance keeps concurrent points
     // with the same fingerprint safe: renames are atomic and every
     // writer produces identical bytes (the snapshot is deterministic).
+    // A run with RunOptions, or one exporting the Chrome trace or span
+    // stream (whose files must cover the whole run), runs cold.
+    std::string restore = opts.restorePath;
     std::string warm_path, warm_tmp;
-    bool restoring = false;
-    if (!warm_dir.empty()) {
-        if (!record_prefix.empty())
-            fatal("trace recording cannot be combined with warm-start "
-                  "checkpoints (recorder file positions are not part "
-                  "of a snapshot)");
+    if (!warm_dir.empty() && !opts.active() && cfg.obs.traceOut.empty() &&
+        cfg.obs.spansOut.empty()) {
         if (::mkdir(warm_dir.c_str(), 0777) != 0 && errno != EEXIST)
             fatal("cannot create warm-start directory '{}'", warm_dir);
         warm_path = warmCheckpointPath(warm_dir, configFingerprint(cfg));
-        restoring = fileExists(warm_path);
-        if (!restoring) {
+        if (fileExists(warm_path)) {
+            restore = warm_path;
+        } else {
             static std::atomic<unsigned> tmp_seq{0};
             warm_tmp = formatStr("{}.tmp{}", warm_path,
                                  tmp_seq.fetch_add(1));
@@ -90,8 +96,10 @@ runSimulation(const WorkloadSpec &workload, const SimConfig &cfg_in,
         }
     }
 
-    const DesignSpec &spec = designSpec(cfg.design);
-    if (spec.needsProfiling && !restoring) {
+    if (!restore.empty()) {
+        // The snapshot holds the profiled table of a static design.
+        sys.loadSnapshot(restore);
+    } else if (designSpec(cfg.design).needsProfiling) {
         // Profiling pass over the same instruction window (Section 7:
         // workloads are profiled first for the static baselines).
         AddressMapper mapper(cfg.geom);
@@ -107,15 +115,25 @@ runSimulation(const WorkloadSpec &workload, const SimConfig &cfg_in,
         profiler.assign(sys.manager().table());
     }
 
-    if (restoring)
-        sys.loadSnapshot(warm_path);
+    for (const auto &[tick, path] : opts.checkpoints) {
+        if (tick == RunOptions::kAtWarmup)
+            sys.checkpointAtWarmup(path);
+        else
+            sys.scheduleCheckpoint(tick, path);
+    }
+    if (opts.beforeRun)
+        opts.beforeRun(sys);
 
     RunMetrics metrics = sys.run();
     if (!warm_tmp.empty() &&
         std::rename(warm_tmp.c_str(), warm_path.c_str()) != 0)
         fatal("cannot publish warm-start checkpoint '{}'", warm_path);
-    for (auto &rec : recorders)
+    for (auto &rec : recorders) {
         rec->close();
+        inform("recorded {} trace record(s)", rec->recorded());
+    }
+    if (opts.afterRun)
+        opts.afterRun(sys);
     return metrics;
 }
 
@@ -133,78 +151,8 @@ weightedSpeedupImprovement(const RunMetrics &metrics,
     return sum / static_cast<double>(metrics.ipc.size()) - 1.0;
 }
 
-ExperimentRunner::ExperimentRunner(SimConfig base) : base_(std::move(base))
-{
-}
-
-RunMetrics
-ExperimentRunner::runRaw(const WorkloadSpec &workload,
-                         const SimConfig &cfg_in)
-{
-    return runSimulation(workload, cfg_in, "", warmDir_);
-}
-
-void
-ExperimentRunner::invalidateBaselines()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    baselines_.clear();
-}
-
-RunMetrics
-ExperimentRunner::baseline(const WorkloadSpec &workload)
-{
-    std::promise<RunMetrics> promise;
-    std::shared_future<RunMetrics> future;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = baselines_.find(workload.name);
-        if (it != baselines_.end()) {
-            future = it->second;
-        } else {
-            future = promise.get_future().share();
-            baselines_.emplace(workload.name, future);
-            owner = true;
-        }
-    }
-    if (owner) {
-        // Computed outside the lock so other workloads' baselines can
-        // progress; late arrivals for this workload block on the
-        // future. An invalidate between insert and set_value only
-        // drops the memo entry — the shared state stays alive through
-        // the futures already handed out.
-        SimConfig cfg = base_;
-        cfg.design = DesignKind::Standard;
-        promise.set_value(runSimulation(workload, cfg, "", warmDir_));
-    }
-    return future.get();
-}
-
-ExperimentResult
-ExperimentRunner::run(const WorkloadSpec &workload, DesignKind design)
-{
-    RunMetrics base = baseline(workload);
-
-    ExperimentResult res;
-    res.workload = workload.name;
-    res.design = design;
-    res.seed = base_.seed;
-    if (design == DesignKind::Standard) {
-        res.metrics = base;
-    } else {
-        SimConfig cfg = base_;
-        cfg.design = design;
-        res.metrics = runSimulation(workload, cfg, "", warmDir_);
-    }
-
-    res.perfImprovement = weightedSpeedupImprovement(res.metrics, base);
-    res.energyPerAccessNj = res.metrics.energy.perAccessNj(energyParams_);
-    return res;
-}
-
 double
-ExperimentRunner::gmeanImprovement(const std::vector<double> &improvements)
+gmeanImprovement(const std::vector<double> &improvements)
 {
     if (improvements.empty())
         return 0.0;

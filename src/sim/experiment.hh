@@ -1,24 +1,19 @@
 /**
  * @file
- * Experiment driver: builds workloads (single benchmarks or Table 2
- * mixes), runs them on a DRAM design — including the profiling pass the
- * static baselines need — and reports paper-style metrics relative to
- * the standard-DRAM baseline.
- *
- * ExperimentRunner is safe for concurrent run()/runRaw() calls from
- * multiple threads: the standard-DRAM baseline of each workload is
- * computed exactly once behind a mutex-guarded memo and shared. See
- * SweepRunner (sim/sweep.hh) for the parallel grid driver built on
- * top of this.
+ * The one run path: runSimulation builds a workload's traces (single
+ * benchmarks, Table 2 mixes or trace files) and its System, runs the
+ * profiling pass the static baselines need, restores or publishes a
+ * snapshot, and runs. Every tool and sweep simulates through it; see
+ * SweepRunner (sim/sweep.hh) for the parallel grid driver and the
+ * standard-DRAM baseline memo built on top of it.
  */
 
 #ifndef DASDRAM_SIM_EXPERIMENT_HH
 #define DASDRAM_SIM_EXPERIMENT_HH
 
-#include <future>
-#include <map>
-#include <mutex>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/system.hh"
@@ -48,6 +43,42 @@ struct ExperimentResult
 };
 
 /**
+ * What one run does besides simulating its configuration. The default
+ * is a plain cold run.
+ */
+struct RunOptions
+{
+    /** A checkpoints[] tick meaning "right after the warm-up reset". */
+    static constexpr Cycle kAtWarmup = kCycleMax;
+
+    /**
+     * Non-empty: capture every core's delivered trace to
+     * `<prefix>.core<i>.dastrace` (binary format) for later `file:`
+     * replay. The profiling pass is excluded from the capture, so the
+     * replay reproduces the measured run exactly.
+     */
+    std::string recordPrefix;
+
+    /** Non-empty: resume from this snapshot (see System::loadSnapshot). */
+    std::string restorePath;
+
+    /** Snapshots to save, as (tick, path); see System::scheduleCheckpoint. */
+    std::vector<std::pair<Cycle, std::string>> checkpoints;
+
+    /** Called with the System just before and just after System::run. */
+    std::function<void(System &)> beforeRun;
+    std::function<void(System &)> afterRun;
+
+    /** True when any member differs from a plain cold run. */
+    bool
+    active() const
+    {
+        return !recordPrefix.empty() || !restorePath.empty() ||
+               !checkpoints.empty() || beforeRun || afterRun;
+    }
+};
+
+/**
  * Run @p workload on the exact configuration @p cfg (design field
  * honoured, numCores taken from the workload): trace construction,
  * the profiling pass for static designs, and the timed run. This is a
@@ -55,95 +86,37 @@ struct ExperimentResult
  * engine's determinism guarantee — and is safe to call from many
  * threads at once (each call owns its System).
  *
- * With a non-empty @p record_prefix every core's delivered trace is
- * captured to `<prefix>.core<i>.dastrace` (binary format) for later
- * `file:` replay; the static-design profiling pre-pass is excluded
- * from the capture, so replaying reproduces the measured run exactly.
+ * A restored run (@p opts.restorePath, or a warm-start snapshot)
+ * skips the profiling pass: the profiled table is part of the
+ * snapshot. A run that is not restored profiles before anything else,
+ * so every checkpoint it takes holds the profiled table.
  *
  * With a non-empty @p warm_dir the run participates in warm-start
  * checkpoint sharing: the directory holds one warmed snapshot per
  * config fingerprint (`warm_<fingerprint>.ckpt`, see
  * configFingerprint()). If the snapshot for this run's fingerprint
  * exists the run restores from it — skipping trace warm-up and the
- * profiling pre-pass, whose results are part of the snapshot — and
- * simulates only the measured window; otherwise the run executes
- * normally and publishes its post-warm-up state for later runs.
- * Either way the metrics are bit-identical to a cold run. Not
- * combinable with @p record_prefix (recorder file positions are not
- * snapshotted).
+ * profiling pass — and simulates only the measured window; otherwise
+ * the run executes normally and publishes its post-warm-up state for
+ * later runs. Either way the metrics are bit-identical to a cold run.
+ * A run with any RunOptions member set, or one exporting the Chrome
+ * trace or span stream (whose files must cover the whole run), keeps
+ * out of the sharing and runs as it would without @p warm_dir.
+ *
+ * Recording cannot be combined with restoring or checkpointing:
+ * recorder file positions are not part of a snapshot.
  */
 RunMetrics runSimulation(const WorkloadSpec &workload,
                          const SimConfig &cfg,
-                         const std::string &record_prefix = "",
+                         const RunOptions &opts = {},
                          const std::string &warm_dir = "");
 
 /** mean_i(IPC_i / baselineIPC_i) - 1 (zero-IPC baselines count as 1). */
 double weightedSpeedupImprovement(const RunMetrics &metrics,
                                   const RunMetrics &baseline);
 
-/**
- * Runs experiments against a fixed base configuration, caching the
- * standard-DRAM baseline per workload so sweeps share it.
- *
- * Thread-safety contract: run(), runRaw() and invalidateBaselines()
- * may be called concurrently. baseConfig() returns a mutable
- * reference and is NOT synchronised — mutate it only while no run is
- * in flight, and call invalidateBaselines() afterwards if the change
- * affects standard-DRAM behaviour (instruction budget, warm-up, seed,
- * geometry, caches...). Mutating it WITHOUT invalidating keeps
- * serving the previously cached baselines — a documented footgun
- * (see tests/sim/test_experiment_concurrency.cc) that the figure
- * benches exploit deliberately for DAS-only knobs such as
- * das.promotion.threshold, which standard DRAM ignores.
- */
-class ExperimentRunner
-{
-  public:
-    explicit ExperimentRunner(SimConfig base);
-
-    /**
-     * Run @p workload on @p design using the base configuration with
-     * the design applied. Runs (and caches) the standard baseline for
-     * the workload first if needed.
-     */
-    ExperimentResult run(const WorkloadSpec &workload, DesignKind design);
-
-    /** Same, with explicit configuration (design field is honoured). */
-    RunMetrics runRaw(const WorkloadSpec &workload, const SimConfig &cfg);
-
-    /**
-     * The base configuration (mutable for sweeps between runs). Not
-     * synchronised — see the class comment.
-     */
-    SimConfig &baseConfig() { return base_; }
-
-    /** Forget cached baselines (call after mutating the base config). */
-    void invalidateBaselines();
-
-    /**
-     * Enable warm-start checkpoint sharing: every run forks from (or
-     * publishes) the warmed snapshot of its config fingerprint under
-     * @p dir. See runSimulation(). Set only while no run is in flight.
-     */
-    void setWarmStartDir(std::string dir) { warmDir_ = std::move(dir); }
-
-    /** Geometric mean of (1 + improvement) minus 1 over results. */
-    static double gmeanImprovement(const std::vector<double> &improvements);
-
-  private:
-    /**
-     * Standard-DRAM metrics of @p workload, computed at most once per
-     * workload name. Returns by value: the memo may be invalidated
-     * concurrently, so references into it would dangle.
-     */
-    RunMetrics baseline(const WorkloadSpec &workload);
-
-    SimConfig base_;
-    std::string warmDir_; ///< warm-start checkpoint dir (empty: off)
-    std::mutex mutex_; ///< guards baselines_ (the map, not the runs)
-    std::map<std::string, std::shared_future<RunMetrics>> baselines_;
-    EnergyParams energyParams_{};
-};
+/** Geometric mean of (1 + improvement) minus 1 over @p improvements. */
+double gmeanImprovement(const std::vector<double> &improvements);
 
 } // namespace dasdram
 

@@ -97,12 +97,14 @@ expectKind(std::string_view path, const JsonValue &j, JsonValue::Kind kind,
 
 /**
  * The one typed setter behind configFromJson and setConfigField:
- * numbers must be finite, and integer fields take only integral
- * values the field can hold — never a silent truncation or wrap.
+ * numbers must be finite, double fields must lie in their @p range,
+ * and integer fields take only integral values the field can hold —
+ * never a silent truncation or wrap.
  */
 template <typename T>
 void
-assignField(std::string_view path, const JsonValue &j, T &out)
+assignField(std::string_view path, const JsonValue &j, T &out,
+            FieldRange range)
 {
     using Kind = JsonValue::Kind;
     if constexpr (std::is_same_v<T, std::string>) {
@@ -120,18 +122,29 @@ assignField(std::string_view path, const JsonValue &j, T &out)
         if (!std::isfinite(x))
             fatal("config: '{}' must be finite, got {}", path, x);
         if constexpr (std::is_floating_point_v<T>) {
+            if (!(x >= range.lo && x < range.hi))
+                fatal("config: '{}' must be in [{}, {}), got {}", path,
+                      range.lo, range.hi, x);
             out = x;
         } else {
             static_assert(std::is_unsigned_v<T>);
-            // 2^digits is the first value T cannot hold; exact in a
-            // double, unlike numeric_limits<T>::max() for 64 bits.
-            if (x < 0 || x != std::floor(x) ||
-                x >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+            constexpr T max = std::numeric_limits<T>::max();
+            // An integer literal is read exactly (a double rounds above
+            // 2^53); any other number must be integral and below
+            // 2^digits, the first value T cannot hold (exact in a
+            // double, unlike max for 64 bits).
+            const double limit =
+                std::ldexp(1.0, std::numeric_limits<T>::digits);
+            const bool fits = j.exactUint ? *j.exactUint <= max
+                                          : x >= 0 && x == std::floor(x) &&
+                                                x < limit;
+            if (!fits) {
                 fatal("config: '{}' must be an integer in [0, {}], got "
                       "{:.17}",
-                      path, std::numeric_limits<T>::max(), x);
+                      path, max, x);
             }
-            out = static_cast<T>(x);
+            out = j.exactUint ? static_cast<T>(*j.exactUint)
+                              : static_cast<T>(x);
         }
     }
 }
@@ -161,7 +174,7 @@ class JsonOut
 
     template <typename T>
     void
-    field(std::string_view path, T &v, FieldTag tag)
+    field(std::string_view path, T &v, FieldTag tag, FieldRange = {})
     {
         if (semanticOnly_ && tag != FieldTag::Semantic)
             return;
@@ -211,7 +224,7 @@ struct PathLister
 
     template <typename T>
     void
-    field(std::string_view path, T &, FieldTag)
+    field(std::string_view path, T &, FieldTag, FieldRange = {})
     {
         list += (list.empty() ? "" : ", ") + std::string(path);
     }
@@ -240,7 +253,7 @@ class JsonIn
 
     template <typename T>
     void
-    field(std::string_view path, T &v, FieldTag)
+    field(std::string_view path, T &v, FieldTag, FieldRange range = {})
     {
         leaves_.emplace(path);
         const auto [section, key] = splitPath(path);
@@ -254,7 +267,7 @@ class JsonIn
                 fatal("config: '{}' must be an object", section);
         }
         if (const JsonValue *m = obj->find(key))
-            assignField(path, *m, v);
+            assignField(path, *m, v, range);
     }
 
     /** Fatal on the first key that no table path names. */
@@ -288,7 +301,7 @@ struct FieldSetter
 
     template <typename T>
     void
-    field(std::string_view p, T &v, FieldTag)
+    field(std::string_view p, T &v, FieldTag, FieldRange range = {})
     {
         if (p != path)
             return;
@@ -302,7 +315,7 @@ struct FieldSetter
             j.kind = JsonValue::Kind::String;
             j.string = text;
         }
-        assignField(path, j, v);
+        assignField(path, j, v, range);
     }
 };
 

@@ -12,6 +12,7 @@
 #define DASDRAM_SIM_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "cache/hierarchy.hh"
@@ -82,10 +83,10 @@ struct ObservabilityConfig
 struct SimConfig
 {
     /**
-     * Workload spec string (workload/workload_spec.hh grammar). The
-     * experiment layer and the System(const SimConfig &) constructor
-     * parse it and derive numCores from the part count; callers that
-     * pass explicit traces may leave it untouched.
+     * Workload spec string (workload/workload_spec.hh grammar). Tools
+     * parse it into the WorkloadSpec that runSimulation builds the
+     * traces from (numCores comes from its part count); callers that
+     * build a System from explicit traces may leave it untouched.
      */
     std::string workload = "mcf";
 
@@ -174,6 +175,16 @@ enum class FieldTag
     Inert,
 };
 
+/**
+ * The half-open interval [lo, hi) a double field accepts, beyond being
+ * finite; the default accepts every finite value.
+ */
+struct FieldRange
+{
+    double lo = -std::numeric_limits<double>::infinity();
+    double hi = std::numeric_limits<double>::infinity();
+};
+
 /** One enum value and its config spelling. */
 template <typename E>
 struct Spelling
@@ -253,9 +264,10 @@ struct EnumSpellings<CacheRepl>
 
 /**
  * The field table: every SimConfig field a run reads, listed once as
- * v.field(path, ref, tag) — its dotted JSON path, a typed reference
- * (std::string, bool, unsigned, std::uint64_t, double or an enum with
- * EnumSpellings) and its FieldTag. configToJson, configFromJson,
+ * v.field(path, ref, tag[, range]) — its dotted JSON path, a typed
+ * reference (std::string, bool, unsigned, std::uint64_t, double or an
+ * enum with EnumSpellings), its FieldTag and, for a double that must
+ * lie in a range, its FieldRange. configToJson, configFromJson,
  * configFingerprint and setConfigField are visitors over this list,
  * the idiom of serde.hh's Archive::io: one list drives every
  * direction, so they cannot drift. A path is "key" or "section.key";
@@ -279,7 +291,7 @@ visitFields(SimConfig &c, Visitor &v)
     v.field("engine", c.engine, I);
     v.field("seed", c.seed, S);
     v.field("instructionsPerCore", c.instructionsPerCore, S);
-    v.field("warmupFraction", c.warmupFraction, S);
+    v.field("warmupFraction", c.warmupFraction, S, FieldRange{0.0, 1.0});
     v.field("profileWindowMultiplier", c.profileWindowMultiplier, S);
     v.field("coreStrideBytes", c.coreStride, S);
     v.field("protocolCheck", c.protocolCheck, S);

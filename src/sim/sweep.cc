@@ -6,6 +6,7 @@
 #include <ostream>
 #include <thread>
 
+#include "common/binfmt.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 
@@ -14,26 +15,6 @@ namespace dasdram
 
 namespace
 {
-
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
-fnv1a(std::string_view s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 /** Filename-safe version of a workload/design/label token. */
 std::string
@@ -67,10 +48,10 @@ SweepRunner::add(SweepPoint point)
 }
 
 std::size_t
-SweepRunner::add(const WorkloadSpec &workload, DesignKind design,
+SweepRunner::add(WorkloadSpec workload, DesignKind design,
                  ConfigOverride override, std::string label)
 {
-    return add(SweepPoint{workload, design, std::move(override),
+    return add(SweepPoint{std::move(workload), design, std::move(override),
                           std::move(label)});
 }
 
@@ -94,8 +75,9 @@ std::uint64_t
 SweepRunner::pointSeed(std::uint64_t base_seed,
                        const std::string &workload, DesignKind design)
 {
+    using binfmt::splitmix64;
     std::uint64_t h = splitmix64(base_seed);
-    h = splitmix64(h ^ fnv1a(workload));
+    h = splitmix64(h ^ binfmt::fnv1a64(workload.data(), workload.size()));
     h = splitmix64(h ^ (static_cast<std::uint64_t>(design) + 1));
     // Keep zero out of the space: some components treat 0 specially.
     return h ? h : 1;
@@ -130,7 +112,7 @@ SweepRunner::baselineFor(const WorkloadSpec &workload)
             cfg.obs.statsOut = cfg.obs.statsDir + "/baseline_" +
                                sanitizeToken(workload.name) + ".jsonl";
         }
-        promise.set_value(runSimulation(workload, cfg, "", warmDir_));
+        promise.set_value(runSimulation(workload, cfg, {}, warmDir_));
     }
     return future.get();
 }
@@ -146,7 +128,7 @@ SweepRunner::runPoint(const SweepPoint &point, std::size_t index)
         pointSeed(base_.seed, point.workload.name, point.design);
 
     if (point.needBaseline && point.design == DesignKind::Standard &&
-        !point.override) {
+        !point.override && !(point.run && point.run->active())) {
         // Identical config and seed as the memoised baseline: reuse.
         res.metrics = baselineFor(point.workload);
         res.perfImprovement = 0.0;
@@ -167,7 +149,9 @@ SweepRunner::runPoint(const SweepPoint &point, std::size_t index)
                 name += "_" + sanitizeToken(point.label);
             cfg.obs.statsOut = cfg.obs.statsDir + "/" + name + ".jsonl";
         }
-        res.metrics = runSimulation(point.workload, cfg, "", warmDir_);
+        res.metrics = runSimulation(point.workload, cfg,
+                                    point.run ? *point.run : RunOptions{},
+                                    warmDir_);
         if (point.needBaseline) {
             res.perfImprovement = weightedSpeedupImprovement(
                 res.metrics, baselineFor(point.workload));

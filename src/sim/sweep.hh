@@ -36,6 +36,7 @@
 #include <future>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -62,6 +63,14 @@ struct SweepPoint
      * callers that only want the raw metrics of one run.
      */
     bool needBaseline = true;
+
+    /**
+     * Recording, snapshots and System callbacks of this point's run
+     * (null: a plain run). Held by pointer so that a plain point
+     * stays as cheap to add(): stored by value, it doubled
+     * sizeof(SweepPoint) and made building a sweep measurably slower.
+     */
+    std::shared_ptr<const RunOptions> run{};
 };
 
 /**
@@ -83,7 +92,7 @@ class SweepRunner
 
     /** Append a point; returns its submission index. */
     std::size_t add(SweepPoint point);
-    std::size_t add(const WorkloadSpec &workload, DesignKind design,
+    std::size_t add(WorkloadSpec workload, DesignKind design,
                     ConfigOverride override = {}, std::string label = {});
 
     /**
@@ -115,12 +124,12 @@ class SweepRunner
     static unsigned resolveJobs(unsigned requested);
 
     /**
-     * The per-point seed: a splitmix64-style mix of the base seed, an
-     * FNV-1a hash of the workload name, and the design. Identical
-     * inputs give identical seeds on every platform; any input change
-     * decorrelates the stream. Points of the same (workload, design)
-     * with different overrides share a seed on purpose, so parameter
-     * sweeps are paired comparisons.
+     * The per-point seed: a binfmt::splitmix64 chain over the base
+     * seed, the binfmt::fnv1a64 hash of the workload name, and the
+     * design. Identical inputs give identical seeds on every
+     * platform; any input change decorrelates the stream. Points of
+     * the same (workload, design) with different overrides share a
+     * seed on purpose, so parameter sweeps are paired comparisons.
      */
     static std::uint64_t pointSeed(std::uint64_t base_seed,
                                    const std::string &workload,

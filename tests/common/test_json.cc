@@ -86,6 +86,31 @@ TEST(JsonParse, RoundTripsWriterOutput)
     EXPECT_EQ(v.find("absent"), nullptr);
 }
 
+TEST(JsonParse, IntegerLiteralsAreExact)
+{
+    // Above 2^53 a double cannot hold every integer; exactUint can.
+    JsonWriter w;
+    w.beginArray()
+        .value(std::uint64_t{9007199254740993ULL})
+        .value(~std::uint64_t{0})
+        .endArray();
+    JsonValue v;
+    ASSERT_TRUE(parseJson(w.str(), v));
+    ASSERT_EQ(v.array.size(), 2u);
+    EXPECT_EQ(v.array[0].exactUint, 9007199254740993ULL);
+    EXPECT_EQ(v.array[1].exactUint, ~std::uint64_t{0});
+
+    // Anything that is not a plain integer in range stays a double.
+    ASSERT_TRUE(
+        parseJson("[18446744073709551616, -1, 2.0, 1e3, 0.5, NaN]", v));
+    for (const JsonValue &x : v.array) {
+        EXPECT_TRUE(x.isNumber());
+        EXPECT_FALSE(x.exactUint.has_value()) << x.number;
+    }
+    ASSERT_TRUE(parseJson("0", v));
+    EXPECT_EQ(v.exactUint, 0u);
+}
+
 TEST(JsonParse, AcceptsWhitespaceAndUnicodeEscapes)
 {
     JsonValue v;

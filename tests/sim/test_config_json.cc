@@ -126,7 +126,7 @@ struct FieldCounter
 
     template <typename T>
     void
-    field(std::string_view, T &, FieldTag)
+    field(std::string_view, T &, FieldTag, FieldRange = {})
     {
         ++n;
     }
@@ -144,7 +144,7 @@ struct FieldPerturber
 
     template <typename T>
     void
-    field(std::string_view p, T &v, FieldTag t)
+    field(std::string_view p, T &v, FieldTag t, FieldRange = {})
     {
         if (index++ != target)
             return;
@@ -260,6 +260,42 @@ TEST(ConfigJson, NumbersThatDoNotFitTheFieldAreFatal)
                  "'protocolCheck' must be a bool");
     EXPECT_DEATH(configFromJson(R"({"core": 4})"),
                  "'core' must be an object");
+}
+
+TEST(ConfigJson, WarmupFractionOutsideZeroToOneIsFatal)
+{
+    // A negative fraction made warmupInstructions() cast a negative
+    // double to an unsigned count; 1 or more never starts the measured
+    // window.
+    EXPECT_DEATH(configFromJson(R"({"warmupFraction": -0.5})"),
+                 "'warmupFraction' must be in \\[0, 1\\), got -0.5");
+    EXPECT_DEATH(configFromJson(R"({"warmupFraction": 1.0})"),
+                 "'warmupFraction' must be in \\[0, 1\\), got 1");
+    EXPECT_DEATH(configFromJson(R"({"warmupFraction": 2})"),
+                 "'warmupFraction' must be in \\[0, 1\\), got 2");
+    SimConfig cfg;
+    EXPECT_DEATH(setConfigField(cfg, "warmupFraction=-0.5"),
+                 "'warmupFraction' must be in");
+    EXPECT_DEATH(setConfigField(cfg, "warmupFraction=1"),
+                 "'warmupFraction' must be in");
+    setConfigField(cfg, "warmupFraction=0");
+    EXPECT_EQ(cfg.warmupFraction, 0.0);
+    setConfigField(cfg, "warmupFraction=0.999");
+    EXPECT_EQ(cfg.warmupFraction, 0.999);
+}
+
+TEST(ConfigJson, SeedsAbove2To53RoundTripExactly)
+{
+    for (std::uint64_t seed :
+         {std::uint64_t{9007199254740993ULL}, ~std::uint64_t{0}}) {
+        SimConfig cfg;
+        cfg.seed = seed;
+        const std::string json = configToJson(cfg);
+        EXPECT_EQ(configFromJson(json).seed, seed);
+        SimConfig set;
+        setConfigField(set, "seed=" + std::to_string(seed));
+        EXPECT_EQ(set.seed, seed);
+    }
 }
 
 TEST(ConfigJson, EnumSpellingsOfTheNewFieldsParse)

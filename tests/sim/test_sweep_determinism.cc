@@ -104,6 +104,26 @@ TEST(SweepDeterminism, PointSeedDependsOnAllInputs)
               s);
 }
 
+TEST(SweepDeterminism, PointSeedIsPinned)
+{
+    // Literal values: a change to the hash chain would silently move
+    // every sweep's and dasdram_run's per-point seeds, and with them
+    // every published figure.
+    EXPECT_EQ(SweepRunner::pointSeed(42, "mcf", DesignKind::Das),
+              0x337b83532ecafb7aULL);
+    EXPECT_EQ(SweepRunner::pointSeed(42, "M2", DesignKind::Standard),
+              0x3fcc608fdd1bbb1aULL);
+    EXPECT_EQ(SweepRunner::pointSeed(42, "mcf", DesignKind::Sas),
+              0x6be42f0f43370289ULL);
+    EXPECT_EQ(SweepRunner::pointSeed(7, "omnetpp", DesignKind::Fs),
+              0x42e37f5177884e6eULL);
+    EXPECT_EQ(SweepRunner::pointSeed(0, "", DesignKind::Charm),
+              0xdf08bff39492c6deULL);
+    EXPECT_EQ(SweepRunner::pointSeed(~0ULL, "mix:spec:mcf,spec:lbm",
+                                     DesignKind::DasFm),
+              0xd693f87d013e17e2ULL);
+}
+
 TEST(SweepDeterminism, StandardPointsReportZeroImprovement)
 {
     SweepRunner sweep(quickConfig(), 2);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Record/replay closure test (the ISSUE 5 acceptance criterion): a
- * synthetic workload recorded with runSimulation's record_prefix and
+ * synthetic workload recorded with runSimulation's recordPrefix and
  * replayed through a `file:` spec must produce bit-identical metrics
  * to the live run — per design (including the static designs, whose
  * profiling pre-pass must stay out of the capture) and per engine.
@@ -57,7 +57,9 @@ recordThenReplay(const std::string &workload, SimConfig cfg,
     std::string prefix = ::testing::TempDir() + "dasdram_replay_" + tag;
     WorkloadSpec live_spec = WorkloadSpec::parse(workload);
 
-    RunMetrics live = runSimulation(live_spec, cfg, prefix);
+    RunOptions record;
+    record.recordPrefix = prefix;
+    RunMetrics live = runSimulation(live_spec, cfg, record);
 
     std::string replay_text;
     for (unsigned i = 0; i < live_spec.numCores(); ++i) {

@@ -30,49 +30,53 @@
  * (repeatable, applied last) sets any field by its dotted JSON path,
  * e.g. --set das.promotionThreshold=4 --set controller.sched=fcfs.
  *
- * Trace recording (--record): re-runs the point directly (like
- * --stats) with every core's delivered trace captured to
- * <prefix>.core<i>.dastrace; replay with --workload file:<that file>.
- * The static-design profiling pre-pass is excluded from the capture.
+ * Every invocation simulates the design point once, through the
+ * SweepRunner engine, so the effective trace seed of a point is
+ * SweepRunner::pointSeed(--seed, workload, design) — deterministic,
+ * and identical to the same point inside any figure sweep with the
+ * same base seed. --baseline (and --csv) add the standard-DRAM point.
+ * The exports below belong to the design point alone and describe
+ * the very run the summary reports, profiling pass included for the
+ * static designs (sas, charm).
  *
- * --trace-cmds and --trace-out are independent sinks over the same
- * command stream: both may be given at once (the controller fans out
- * to the text trace, the JSON timeline and the protocol checker).
- * Like --stats, either one reruns the point directly with the same
- * effective seed as the sweep point, so the exports match the summary.
+ * --stats-out, --trace-out, --trace-requests/--spans-out and
+ * --trace-cmds are independent sinks over the design point's run:
+ * any of them may be given at once (the controller fans out to the
+ * text trace, the JSON timeline and the protocol checker). --stats
+ * prints the full stats tree after the summary.
  *
- * Runs go through the SweepRunner engine, so the effective trace seed
- * of a point is SweepRunner::pointSeed(--seed, workload, design) —
- * deterministic, and identical to the same point inside any figure
- * sweep with the same base seed.
+ * Trace recording (--record): every core's delivered trace is
+ * captured to <prefix>.core<i>.dastrace; replay with --workload
+ * file:<that file>. The static-design profiling pass is excluded from
+ * the capture.
  *
  * Snapshots (--checkpoint-out/--restore): --checkpoint-out CYCLE:PATH
  * saves a versioned binary snapshot at the first run-loop visit at or
  * after tick CYCLE ("warmup:PATH" saves right after the warm-up
  * reset); --restore PATH resumes from such a snapshot, and the resumed
- * run is bit-identical to the uninterrupted one (same stats JSONL,
- * same command-trace and span-JSONL suffix) under either engine.
- * Both flags run the point directly — no summary, and
- * --baseline/--csv/--json do not apply. --warm-dir DIR instead
- * enables warm-start sharing inside the sweep engine:
- * each point forks from (or publishes) the warmed snapshot of its
- * config fingerprint under DIR, so re-running against the same
- * directory skips all warm-up re-simulation bit-identically.
+ * run is bit-identical to the uninterrupted one (same summary, same
+ * stats JSONL, same command-trace and span-JSONL suffix) under either
+ * engine. A static design profiles before its first checkpoint, and a
+ * restored run takes the profiled table from the snapshot. --warm-dir
+ * DIR enables warm-start sharing inside the sweep engine: each point
+ * forks from (or publishes) the warmed snapshot of its config
+ * fingerprint under DIR, so re-running against the same directory
+ * skips all warm-up re-simulation bit-identically. A design point
+ * that records, snapshots, traces or prints --stats runs cold.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/cli.hh"
 #include "common/log.hh"
 #include "sim/config_cli.hh"
-#include "sim/experiment.hh"
 #include "sim/sweep.hh"
-#include "workload/trace_file.hh"
 
 using namespace dasdram;
 
@@ -153,33 +157,29 @@ main(int argc, char **argv)
         .option("--json", "FILE", "JSONL export of every point that ran")
         .toggle("--check", "online DRAM protocol checker (default on)")
         .option("--trace-cmds", "FILE",
-                "write every issued DRAM command as text (direct rerun)")
+                "write every issued DRAM command as text")
         .option("--trace-out", "FILE",
-                "Chrome trace_event JSON timeline (direct rerun)")
+                "Chrome trace_event JSON timeline")
         .option("--stats-out", "FILE",
-                "schema-versioned stats JSONL dump (direct rerun)")
+                "schema-versioned stats JSONL dump")
         .option("--record", "PREFIX",
-                "capture each core's trace to PREFIX.core<i>.dastrace "
-                "(direct rerun)")
+                "capture each core's trace to PREFIX.core<i>.dastrace")
         .optionDouble("--trace-requests", "RATE",
                       "sample RATE of memory requests with lifecycle "
-                      "spans, 0..1 (direct rerun)")
+                      "spans, 0..1")
         .option("--spans-out", "FILE",
-                "request-span JSONL export; needs --trace-requests "
-                "(direct rerun)")
+                "request-span JSONL export; needs --trace-requests")
         .optionUInt("--epoch", "N",
                     "stats time-series epoch in memory cycles (0 = off)")
         .flag("--baseline",
               "also run standard DRAM and report the improvement")
-        .flag("--stats", "dump the full stats tree (direct rerun)")
+        .flag("--stats", "dump the full stats tree after the summary")
         .flag("--csv", "one CSV row to stdout")
         .option("--checkpoint-out", "CYCLE:PATH",
                 "save a snapshot at tick CYCLE (or 'warmup:PATH' for "
-                "right after the warm-up reset); repeatable; runs the "
-                "point directly")
+                "right after the warm-up reset); repeatable")
         .option("--restore", "PATH",
-                "resume from a snapshot saved by --checkpoint-out; "
-                "runs the point directly")
+                "resume from a snapshot saved by --checkpoint-out")
         .option("--warm-dir", "DIR",
                 "warm-start checkpoint directory shared by sweep "
                 "points (see the header of tools/dasdram_run.cc)")
@@ -222,54 +222,9 @@ main(int argc, char **argv)
     bool with_baseline = cli.given("--baseline");
     bool csv = cli.given("--csv");
 
-    // The snapshot flags run the point directly: a restore exists to
-    // skip re-simulation, so the summary pass through the sweep engine
-    // (and everything computed from it) does not apply.
-    std::vector<std::string> checkpoint_specs =
-        cli.strs("--checkpoint-out");
-    std::string restore_path = cli.str("--restore");
-    bool direct_only = !checkpoint_specs.empty() || !restore_path.empty();
-    if (direct_only && (with_baseline || csv || cli.given("--json")))
-        fatal("--checkpoint-out/--restore run the point directly; "
-              "--baseline, --csv and --json do not apply");
-
-    if (!direct_only) {
-        // Every run goes through the sweep engine; with --baseline the
-        // standard point and the design point are two grid points, so
-        // --jobs 2 runs them concurrently.
-        SweepRunner sweep(cfg, jobs);
-        if (cli.given("--warm-dir"))
-            sweep.setWarmStartDir(cli.str("--warm-dir"));
-        std::size_t result_index = 0;
-        if (with_baseline || csv) {
-            sweep.add(w, DesignKind::Standard);
-            result_index = sweep.add(w, kind);
-        } else {
-            // Raw metrics only: skip the baseline simulation entirely.
-            result_index = sweep.add(
-                SweepPoint{w, kind, {}, {}, /*needBaseline=*/false});
-        }
-        std::vector<ExperimentResult> results = sweep.run();
-        const ExperimentResult &r = results[result_index];
-
-        if (cli.given("--json")) {
-            std::ofstream os(cli.str("--json"));
-            if (!os)
-                fatal("cannot open '{}' for writing", cli.str("--json"));
-            writeJsonLines(os, results);
-        }
-
-        if (csv) {
-            printCsv(w, r, cfg.geom);
-        } else {
-            printSummary(w, r, with_baseline || csv, cfg.geom);
-        }
-    }
-
     std::string trace_path = cli.str("--trace-cmds");
     std::string trace_out = cli.str("--trace-out");
     std::string stats_out = cli.str("--stats-out");
-    std::string record_prefix = cli.str("--record");
     double trace_requests = cli.dbl("--trace-requests", 0.0);
     std::string spans_out = cli.str("--spans-out");
     if (!spans_out.empty() && trace_requests <= 0.0)
@@ -277,81 +232,84 @@ main(int argc, char **argv)
     if (trace_requests < 0.0 || trace_requests > 1.0)
         fatal("--trace-requests must be in [0, 1], got {}",
               trace_requests);
-    if (direct_only && !record_prefix.empty())
-        fatal("--record cannot be combined with --checkpoint-out/"
-              "--restore (recorder file positions are not part of a "
-              "snapshot)");
-    if (cli.given("--stats") || !trace_path.empty() ||
-        !trace_out.empty() || !stats_out.empty() ||
-        !record_prefix.empty() || trace_requests > 0.0 || direct_only) {
-        // Re-run with direct System access for the stats tree, the
-        // command trace, the observability exports and/or the trace
-        // recording, using the same effective seed as the sweep point
-        // above so the dumps match the summary.
-        SimConfig scfg = cfg;
-        scfg.design = kind;
-        scfg.seed = SweepRunner::pointSeed(cfg.seed, w.name, kind);
-        scfg.numCores = w.numCores();
-        scfg.obs.workloadName = w.name;
-        scfg.obs.statsOut = stats_out;
-        scfg.obs.traceOut = trace_out;
-        scfg.obs.traceRequests = trace_requests;
-        scfg.obs.spansOut = spans_out;
-        auto traces = buildTraces(w, scfg.seed, scfg.geom.rowBytes,
-                                  scfg.geom.lineBytes);
-        std::vector<std::unique_ptr<TraceRecorder>> recorders;
-        std::vector<TraceSource *> ptrs;
-        for (unsigned i = 0; i < scfg.numCores; ++i) {
-            TraceSource *src = traces[i].get();
-            if (!record_prefix.empty()) {
-                recorders.push_back(std::make_unique<TraceRecorder>(
-                    *src, formatStr("{}.core{}.dastrace",
-                                    record_prefix, i)));
-                src = recorders.back().get();
-            }
-            ptrs.push_back(src);
-        }
-        System sys(scfg, ptrs);
-        std::ofstream trace_os;
-        if (!trace_path.empty()) {
-            trace_os.open(trace_path);
-            if (!trace_os)
-                fatal("cannot open '{}' for writing", trace_path);
-            sys.attachCommandTrace(trace_os);
-        }
-        if (!restore_path.empty())
-            sys.loadSnapshot(restore_path);
-        for (const std::string &spec : checkpoint_specs) {
-            std::size_t colon = spec.find(':');
-            if (colon == std::string::npos || colon + 1 == spec.size())
-                fatal("--checkpoint-out needs CYCLE:PATH or "
-                      "warmup:PATH, got '{}'",
-                      spec);
-            std::string when = spec.substr(0, colon);
-            std::string path = spec.substr(colon + 1);
-            if (when == "warmup") {
-                sys.checkpointAtWarmup(path);
-            } else {
-                char *end = nullptr;
-                unsigned long long tick =
-                    std::strtoull(when.c_str(), &end, 10);
-                if (end == when.c_str() || *end != '\0')
-                    fatal("bad --checkpoint-out cycle '{}'", when);
-                sys.scheduleCheckpoint(tick, path);
-            }
-        }
-        sys.run();
-        for (auto &rec : recorders) {
-            rec->close();
-            inform("recorded {} trace record(s)", rec->recorded());
-        }
-        if (const RequestTracer *t = sys.requestTracer()) {
-            inform("request tracing: sampled {} of {} requests "
-                   "(rate {})",
-                   t->sampled(), t->decisions(), t->rate());
-        }
-        if (cli.given("--stats"))
-            sys.dumpStats(std::cout);
+
+    // The exports and everything that needs the live System belong to
+    // the design point alone: the baseline point never writes them.
+    SweepPoint point{w, kind, {}, {}, with_baseline || csv};
+    if (!trace_out.empty() || !stats_out.empty() ||
+        trace_requests > 0.0) {
+        point.override = [&](SimConfig &c) {
+            c.obs.statsOut = stats_out;
+            c.obs.traceOut = trace_out;
+            c.obs.traceRequests = trace_requests;
+            c.obs.spansOut = spans_out;
+        };
     }
+    RunOptions run;
+    run.recordPrefix = cli.str("--record");
+    run.restorePath = cli.str("--restore");
+    for (const std::string &spec : cli.strs("--checkpoint-out")) {
+        std::size_t colon = spec.find(':');
+        if (colon == std::string::npos || colon + 1 == spec.size())
+            fatal("--checkpoint-out needs CYCLE:PATH or warmup:PATH, "
+                  "got '{}'",
+                  spec);
+        std::string when = spec.substr(0, colon);
+        Cycle tick = RunOptions::kAtWarmup;
+        if (when != "warmup") {
+            char *end = nullptr;
+            tick = std::strtoull(when.c_str(), &end, 10);
+            if (end == when.c_str() || *end != '\0')
+                fatal("bad --checkpoint-out cycle '{}'", when);
+        }
+        run.checkpoints.emplace_back(tick, spec.substr(colon + 1));
+    }
+    std::ofstream trace_os;
+    if (!trace_path.empty()) {
+        trace_os.open(trace_path);
+        if (!trace_os)
+            fatal("cannot open '{}' for writing", trace_path);
+        run.beforeRun = [&](System &sys) {
+            sys.attachCommandTrace(trace_os);
+        };
+    }
+    std::ostringstream stats_dump;
+    if (cli.given("--stats") || trace_requests > 0.0) {
+        run.afterRun = [&](System &sys) {
+            if (const RequestTracer *t = sys.requestTracer()) {
+                inform("request tracing: sampled {} of {} requests "
+                       "(rate {})",
+                       t->sampled(), t->decisions(), t->rate());
+            }
+            if (cli.given("--stats"))
+                sys.dumpStats(stats_dump);
+        };
+    }
+
+    point.run = std::make_shared<const RunOptions>(std::move(run));
+
+    // With --baseline the standard point and the design point are two
+    // grid points, so --jobs 2 runs them concurrently.
+    SweepRunner sweep(cfg, jobs);
+    if (cli.given("--warm-dir"))
+        sweep.setWarmStartDir(cli.str("--warm-dir"));
+    if (point.needBaseline)
+        sweep.add(w, DesignKind::Standard);
+    std::size_t result_index = sweep.add(std::move(point));
+    std::vector<ExperimentResult> results = sweep.run();
+    const ExperimentResult &r = results[result_index];
+
+    if (cli.given("--json")) {
+        std::ofstream os(cli.str("--json"));
+        if (!os)
+            fatal("cannot open '{}' for writing", cli.str("--json"));
+        writeJsonLines(os, results);
+    }
+
+    if (csv)
+        printCsv(w, r, cfg.geom);
+    else
+        printSummary(w, r, with_baseline, cfg.geom);
+    std::cout << stats_dump.str();
     return 0;
 }
