@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot components:
  * address decode, translation table/cache operations, cache lookups,
- * trace generation and raw DRAM command throughput. These guard the
+ * trace generation, the MSHR miss cycle, one DRAM request's submit →
+ * completion and raw DRAM command throughput. These guard the
  * simulator's own performance (it must sustain millions of memory
  * operations per second to make the figure sweeps practical).
  */
@@ -12,11 +13,13 @@
 #include <memory>
 
 #include "cache/cache.hh"
+#include "cache/mshr.hh"
 #include "core/translation_cache.hh"
 #include "cpu/core.hh"
 #include "core/translation_table.hh"
 #include "dram/address_mapping.hh"
 #include "dram/controller.hh"
+#include "dram/dram_system.hh"
 #include "mem/clock.hh"
 #include "workload/spec_profiles.hh"
 #include "workload/synth_trace.hh"
@@ -178,5 +181,61 @@ BM_ControllerRowHitThroughput(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(ctrl->readCount()));
 }
 BENCHMARK(BM_ControllerRowHitThroughput);
+
+/** One LLC miss through the MSHR file: allocate, two coalesced
+ *  waiters, complete — with half of a one-core file (32 entries by
+ *  default) outstanding, so the line lookups scan a busy table. */
+static void
+BM_MshrMissCycle(benchmark::State &state)
+{
+    constexpr unsigned kCapacity = 32;
+    MshrFile m(kCapacity);
+    std::uint64_t woken = 0;
+    m.setDispatcher(
+        [&woken](const Continuation &, Addr, Cycle) { ++woken; });
+    for (unsigned i = 0; i < kCapacity / 2; ++i)
+        m.allocate((1000 + i) * 64);
+    Addr line = 0;
+    Cycle now = 0;
+    for (auto _ : state) {
+        m.allocate(line);
+        m.addWaiter(line, Continuation::coreLoad(0, 1));
+        m.addWaiter(line, Continuation::coreLoad(0, 2));
+        m.complete(line, ++now);
+        line = (line + 64) % (64 * 64);
+    }
+    benchmark::DoNotOptimize(woken);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MshrMissCycle);
+
+/** One read through the DRAM system: build the request, submit it and
+ *  tick the memory clock until its completion callback fires. Rows
+ *  alternate between hits and conflicts across the banks. */
+static void
+BM_DramSubmitComplete(benchmark::State &state)
+{
+    DramGeometry g;
+    DramTiming t = ddr3_1600Timing();
+    UniformRowClassifier cls(RowClass::Slow);
+    DramSystem dram(g, t, cls);
+    Cycle now = 0;
+    Addr addr = 0;
+    bool done = false;
+    for (auto _ : state) {
+        auto req = std::make_unique<MemRequest>(addr, false, 0);
+        req->loc = dram.decode(addr);
+        req->onComplete = [&done](MemRequest &, Cycle) { done = true; };
+        done = false;
+        dram.submit(std::move(req), now);
+        while (!done) {
+            now += kMemTick;
+            dram.tick(now);
+        }
+        addr += 64 * 1021;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DramSubmitComplete);
 
 BENCHMARK_MAIN();

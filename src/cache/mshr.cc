@@ -17,74 +17,98 @@ MshrFile::MshrFile(unsigned capacity, std::string name)
                             "entries in use after each allocation");
 }
 
+std::size_t
+MshrFile::claimSlot(Addr line)
+{
+    if (used_ == lines_.size()) {
+        lines_.push_back(line);
+        waiters_.emplace_back();
+    } else {
+        lines_[used_] = line; // its waiter buffer was left empty
+    }
+    return used_++;
+}
+
 void
 MshrFile::allocate(Addr line)
 {
     if (full())
         panic("MSHR allocate when full");
-    auto [it, inserted] = entries_.try_emplace(line);
-    if (!inserted)
+    if (outstanding(line))
         panic("MSHR allocate for already outstanding line {:x}", line);
+    claimSlot(line);
     allocations_.inc();
-    occupancy_.sample(entries_.size());
+    occupancy_.sample(used_);
 }
 
 void
 MshrFile::addWaiter(Addr line, Continuation w)
 {
-    auto it = entries_.find(line);
-    if (it == entries_.end())
+    const std::size_t i = find(line);
+    if (i == kNone)
         panic("MSHR addWaiter without outstanding entry");
-    it->second.push_back(w);
+    waiters_[i].push_back(w);
     coalesced_.inc();
 }
 
 void
 MshrFile::complete(Addr line, Cycle tick)
 {
-    auto it = entries_.find(line);
-    if (it == entries_.end())
+    const std::size_t i = find(line);
+    if (i == kNone)
         panic("MSHR complete without outstanding entry");
-    std::vector<Continuation> waiters = std::move(it->second);
-    entries_.erase(it);
+    // Take the slot's waiters into the hand-off buffer, leaving the
+    // slot its empty one; then free the slot by moving the
+    // last live slot into it. Buffers only trade places.
+    std::vector<Continuation> waiters = std::move(completing_);
+    waiters.swap(waiters_[i]);
+    --used_;
+    if (i != used_) {
+        lines_[i] = lines_[used_];
+        waiters_[i].swap(waiters_[used_]);
+    }
     if (!dispatch_ && !waiters.empty())
         panic("MSHR complete with waiters but no dispatcher");
     for (const Continuation &w : waiters)
         dispatch_(w, line, tick);
+    waiters.clear();
+    completing_ = std::move(waiters);
 }
 
 void
 MshrFile::serdeState(Archive &ar)
 {
     ar.section("mshr");
-    std::uint64_t n = entries_.size();
+    std::uint64_t n = used_;
     ar.io(n);
     if (ar.saving()) {
-        std::vector<Addr> lines;
-        lines.reserve(entries_.size());
-        for (const auto &kv : entries_)
-            lines.push_back(kv.first);
-        std::sort(lines.begin(), lines.end());
-        for (Addr line : lines) {
-            ar.io(line);
-            auto &waiters = entries_.at(line);
-            std::uint64_t w = waiters.size();
+        std::vector<std::size_t> order(used_);
+        for (std::size_t i = 0; i < used_; ++i)
+            order[i] = i;
+        std::sort(order.begin(), order.end(),
+                  [this](std::size_t a, std::size_t b) {
+                      return lines_[a] < lines_[b];
+                  });
+        for (std::size_t i : order) {
+            ar.io(lines_[i]);
+            std::uint64_t w = waiters_[i].size();
             ar.io(w);
-            for (Continuation &c : waiters)
+            for (Continuation &c : waiters_[i])
                 c.serdeState(ar);
         }
     } else {
-        entries_.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::size_t i = 0; i < used_; ++i)
+            waiters_[i].clear();
+        used_ = 0;
+        for (std::uint64_t k = 0; k < n; ++k) {
             Addr line = 0;
             ar.io(line);
+            std::vector<Continuation> &waiters = waiters_[claimSlot(line)];
             std::uint64_t w = 0;
             ar.io(w);
-            std::vector<Continuation> waiters(
-                static_cast<std::size_t>(w));
+            waiters.resize(static_cast<std::size_t>(w));
             for (Continuation &c : waiters)
                 c.serdeState(ar);
-            entries_.emplace(line, std::move(waiters));
         }
     }
     ar.end();

@@ -8,7 +8,6 @@
 #define DASDRAM_CACHE_MSHR_HH
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/continuation.hh"
@@ -26,6 +25,11 @@ namespace dasdram
  * owner installs one dispatcher that interprets every completed token,
  * so entries in flight at checkpoint time round-trip through a
  * snapshot and resume under the restored owner's dispatcher.
+ *
+ * Entries live in a dense table of at most `capacity` lines, found by
+ * a linear scan. Each slot keeps its waiter buffer across fills, so
+ * once the table has reached its peak occupancy and waiter counts the
+ * allocate/addWaiter/complete cycle allocates nothing.
  */
 class MshrFile
 {
@@ -40,13 +44,10 @@ class MshrFile
     void setDispatcher(Dispatcher d) { dispatch_ = std::move(d); }
 
     /** True iff a miss to @p line is already outstanding. */
-    bool outstanding(Addr line) const
-    {
-        return entries_.count(line) != 0;
-    }
+    bool outstanding(Addr line) const { return find(line) != kNone; }
 
     /** True iff no new entry can be allocated. */
-    bool full() const { return entries_.size() >= capacity_; }
+    bool full() const { return used_ >= capacity_; }
 
     /**
      * Allocate an entry for @p line. @pre !outstanding(line) && !full().
@@ -57,12 +58,13 @@ class MshrFile
     void addWaiter(Addr line, Continuation w);
 
     /**
-     * Complete the fill for @p line at @p tick: runs and removes all
-     * waiters. @pre outstanding(line).
+     * Complete the fill for @p line at @p tick: frees the entry, then
+     * runs its waiters in the order they were added.
+     * @pre outstanding(line).
      */
     void complete(Addr line, Cycle tick);
 
-    std::size_t size() const { return entries_.size(); }
+    std::size_t size() const { return used_; }
     std::uint64_t coalesced() const { return coalesced_.value(); }
 
     /** Unique line fills started (the paper-style miss count). */
@@ -72,15 +74,38 @@ class MshrFile
 
     /**
      * Checkpoint outstanding entries and their waiter tokens. Entries
-     * are written sorted by line address — the hash iteration order
+     * are written sorted by line address — the table's slot order
      * never affects behaviour (complete() is per-line), so sorting
-     * costs nothing and keeps snapshot bytes deterministic.
+     * keeps snapshot bytes independent of it.
      */
     void serdeState(Archive &ar);
 
   private:
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    /** Slot index of @p line among the used slots, or kNone. */
+    std::size_t
+    find(Addr line) const
+    {
+        for (std::size_t i = 0; i < used_; ++i) {
+            if (lines_[i] == line)
+                return i;
+        }
+        return kNone;
+    }
+
+    /** Take the first free slot for @p line (no checks, no stats). */
+    std::size_t claimSlot(Addr line);
+
     unsigned capacity_;
-    std::unordered_map<Addr, std::vector<Continuation>> entries_;
+    /** Slots [0, used_) are live; lines_[i] owns waiters_[i]. Both
+     *  grow on demand up to capacity_ and never shrink. */
+    std::vector<Addr> lines_;
+    std::vector<std::vector<Continuation>> waiters_;
+    std::size_t used_ = 0;
+    /** complete() hands a fill's waiters over here before dispatching,
+     *  so a dispatcher may allocate the freed slot again. */
+    std::vector<Continuation> completing_;
     Dispatcher dispatch_;
 
     StatGroup statGroup_;

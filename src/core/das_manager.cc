@@ -435,14 +435,17 @@ DasManager::tick(Cycle now)
 {
     if (pending_.empty())
         return;
-    std::deque<PendingAccess> retry;
-    std::swap(retry, pending_);
-    for (PendingAccess &acc : retry) {
+    // Retried accesses that stay pending go back in order; so do
+    // accesses submitReady pushes re-entrantly (a completion's dirty
+    // writeback), interleaved exactly where they arrive.
+    retry_.swap(pending_);
+    for (PendingAccess &acc : retry_) {
         if (acc.readyTick > now)
             pending_.push_back(std::move(acc));
         else
             submitReady(std::move(acc), now);
     }
+    retry_.clear();
 }
 
 Cycle

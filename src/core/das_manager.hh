@@ -11,7 +11,6 @@
 #ifndef DASDRAM_CORE_DAS_MANAGER_HH
 #define DASDRAM_CORE_DAS_MANAGER_HH
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -257,7 +256,12 @@ class DasManager
     RequestTracer *tracer_ = nullptr;
     CompletionHook completionHook_;
 
-    std::deque<PendingAccess> pending_;
+    /** Accesses waiting for their ready tick or for queue space, in
+     *  arrival order. */
+    std::vector<PendingAccess> pending_;
+    /** tick()'s working copy of pending_, swapped in and out so both
+     *  buffers keep their capacity across ticks. */
+    std::vector<PendingAccess> retry_;
     /** In-flight table-line walks: accesses waiting on the same line. */
     std::unordered_map<Addr, std::vector<PendingAccess>> walksInFlight_;
     std::unordered_set<std::uint64_t> swapsInFlight_; ///< group ids

@@ -260,7 +260,7 @@ ChannelController::retireCompletions(Cycle now)
             activeMigrations_.pop_back();
             migrationsDone_.inc();
             if (job.onDone)
-                job.onDone(at);
+                job.onDone(memCyclesToTicks(at));
         } else {
             ++i;
         }
@@ -307,7 +307,7 @@ ChannelController::finish(std::unique_ptr<MemRequest> req, Cycle at,
             spanSink_->onSpan(s);
     }
     if (req->onComplete)
-        req->onComplete(*req, at);
+        req->onComplete(*req, memCyclesToTicks(at));
 }
 
 bool

@@ -4,7 +4,11 @@
  * policy, separate read/write queues with drain watermarks, refresh
  * management, and bank reservation for DAS-DRAM migrations/swaps.
  *
- * Time unit throughout is memory-bus cycles (tCK = 1.25 ns).
+ * Time unit throughout is memory-bus cycles (tCK = 1.25 ns), except
+ * the times passed to completion callbacks (MemRequest::onComplete,
+ * MigrationJob::onDone), which are global ticks (mem/clock.hh): the
+ * conversion happens once, where the callback fires, so callers never
+ * wrap their callbacks to change clock domain.
  */
 
 #ifndef DASDRAM_DRAM_CONTROLLER_HH
@@ -23,6 +27,7 @@
 #include "dram/rank.hh"
 #include "dram/row_class.hh"
 #include "dram/timing.hh"
+#include "mem/clock.hh"
 #include "mem/request.hh"
 
 namespace dasdram
@@ -111,7 +116,7 @@ struct MigrationJob
      * reconstruct onDone via DramSystem::rebindMigrations().
      */
     std::uint64_t group = kNoGroup;
-    /** Called at completion with the finish cycle. */
+    /** Called at completion with the finish time in ticks. */
     std::function<void(Cycle)> onDone;
 
     /** Checkpoint all data fields; onDone is left null on load (the
@@ -156,9 +161,9 @@ class ChannelController
 
     /**
      * Hand a request to the controller. @pre canAccept(req->isWrite).
-     * The controller takes ownership; onComplete fires when the data
-     * burst finishes (reads) or the WR command issues (writes), then
-     * the request is destroyed.
+     * The controller takes ownership; onComplete fires (with the time
+     * in ticks) when the data burst finishes (reads) or the WR command
+     * issues (writes), then the request is destroyed.
      */
     void enqueue(std::unique_ptr<MemRequest> req, Cycle now);
 

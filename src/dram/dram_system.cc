@@ -36,16 +36,6 @@ DramSystem::submit(std::unique_ptr<MemRequest> req, Cycle now_tick)
     const Cycle mem_now = now_tick / kMemTick;
     ChannelController &ch = *channels_[req->loc.channel];
 
-    // Completion callbacks cross the clock-domain boundary here: the
-    // controller reports memory cycles; consumers expect ticks.
-    if (req->onComplete) {
-        auto user = std::move(req->onComplete);
-        req->onComplete = [user = std::move(user)](MemRequest &r,
-                                                   Cycle mem_at) {
-            user(r, mem_at * kMemTick);
-        };
-    }
-
     if (!req->isWrite && ch.writeQueued(req->addr)) {
         // Read-after-write forwarding from the write queue: the data is
         // still in the controller; serve it at roughly CAS latency
@@ -76,7 +66,7 @@ DramSystem::submit(std::unique_ptr<MemRequest> req, Cycle now_tick)
                 spanSink_->onSpan(s);
         }
         if (req->onComplete)
-            req->onComplete(*req, done);
+            req->onComplete(*req, memCyclesToTicks(done));
         return;
     }
 
@@ -100,10 +90,7 @@ DramSystem::startMigration(unsigned channel, unsigned rank, unsigned bank,
     job.rowLo = row_lo;
     job.rowHi = row_hi;
     job.group = group;
-    job.onDone = [cb = std::move(on_done)](Cycle mem_at) {
-        if (cb)
-            cb(mem_at * kMemTick);
-    };
+    job.onDone = std::move(on_done);
     channels_[channel]->addMigration(std::move(job));
 }
 
@@ -123,18 +110,8 @@ DramSystem::rebindRequests(
     const std::function<MemRequest::Callback(const MemRequest &)> &binder)
 {
     for (const auto &ch : channels_) {
-        ch->forEachRequest([&](MemRequest &req) {
-            MemRequest::Callback user = binder(req);
-            if (!user) {
-                req.onComplete = nullptr;
-                return;
-            }
-            // Same tick-domain wrap submit() applies to live requests.
-            req.onComplete = [user = std::move(user)](MemRequest &r,
-                                                      Cycle mem_at) {
-                user(r, mem_at * kMemTick);
-            };
-        });
+        ch->forEachRequest(
+            [&](MemRequest &req) { req.onComplete = binder(req); });
     }
 }
 
@@ -144,13 +121,8 @@ DramSystem::rebindMigrations(
         &binder)
 {
     for (const auto &ch : channels_) {
-        ch->forEachMigration([&](MigrationJob &job) {
-            auto cb = binder(job);
-            job.onDone = [cb = std::move(cb)](Cycle mem_at) {
-                if (cb)
-                    cb(mem_at * kMemTick);
-            };
-        });
+        ch->forEachMigration(
+            [&](MigrationJob &job) { job.onDone = binder(job); });
     }
 }
 

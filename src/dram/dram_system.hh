@@ -141,9 +141,8 @@ class DramSystem
     /**
      * Reinstall completion callbacks on every owned request after a
      * restore. @p binder maps a request (via its serialised
-     * Continuation) to a tick-domain callback (or null); each one is
-     * re-wrapped into the controller's memory-cycle domain exactly as
-     * submit() wraps live callbacks.
+     * Continuation) to its callback (or null); like every completion
+     * callback it is called with the time in ticks.
      */
     void rebindRequests(
         const std::function<MemRequest::Callback(const MemRequest &)>
@@ -152,8 +151,7 @@ class DramSystem
     /**
      * Reinstall onDone on every pending/active migration job after a
      * restore. @p binder maps a job (via its serialised group tag) to
-     * a tick-domain callback (or null); wrapped like startMigration()
-     * wraps live callbacks.
+     * its callback (or null), called with the finish tick.
      */
     void rebindMigrations(
         const std::function<std::function<void(Cycle)>(

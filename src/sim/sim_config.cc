@@ -122,9 +122,10 @@ assignField(std::string_view path, const JsonValue &j, T &out,
         if (!std::isfinite(x))
             fatal("config: '{}' must be finite, got {}", path, x);
         if constexpr (std::is_floating_point_v<T>) {
-            if (!(x >= range.lo && x < range.hi))
-                fatal("config: '{}' must be in [{}, {}), got {}", path,
-                      range.lo, range.hi, x);
+            if (!(x >= range.lo &&
+                  (x < range.hi || (range.closed && x == range.hi))))
+                fatal("config: '{}' must be in [{}, {}{}, got {}", path,
+                      range.lo, range.hi, range.closed ? ']' : ')', x);
             out = x;
         } else {
             static_assert(std::is_unsigned_v<T>);

@@ -176,13 +176,14 @@ enum class FieldTag
 };
 
 /**
- * The half-open interval [lo, hi) a double field accepts, beyond being
- * finite; the default accepts every finite value.
+ * The interval a double field accepts, beyond being finite: [lo, hi),
+ * or [lo, hi] when @c closed; the default accepts every finite value.
  */
 struct FieldRange
 {
     double lo = -std::numeric_limits<double>::infinity();
     double hi = std::numeric_limits<double>::infinity();
+    bool closed = false;
 };
 
 /** One enum value and its config spelling. */
@@ -347,7 +348,8 @@ visitFields(SimConfig &c, Visitor &v)
     v.field("observability.statsOut", c.obs.statsOut, I);
     v.field("observability.statsDir", c.obs.statsDir, I);
     v.field("observability.traceOut", c.obs.traceOut, I);
-    v.field("observability.traceRequests", c.obs.traceRequests, S);
+    v.field("observability.traceRequests", c.obs.traceRequests, S,
+            FieldRange{0.0, 1.0, /*closed=*/true});
     v.field("observability.spansOut", c.obs.spansOut, I);
     v.field("observability.workloadName", c.obs.workloadName, I);
     v.field("observability.label", c.obs.label, I);

@@ -224,9 +224,26 @@ System::handleCoreAccess(unsigned core, Addr addr, bool is_write,
     ev.line = res.lineAddr;
     ev.isWrite = is_write;
     ev.issueTick = now_; // core-issue stage of a sampled span
+    pushMissEvent(ev);
+}
+
+void
+System::pushMissEvent(const MissEvent &ev)
+{
+    if (hasMissEvents() && ev < events_.back()) {
+        panic("miss event (at {}, seq {}) pushed behind (at {}, seq {}): "
+              "the pending-event FIFO needs non-decreasing due ticks",
+              ev.at, ev.seq, events_.back().at, events_.back().seq);
+    }
+    // Reclaim the popped prefix once it is at least half the buffer,
+    // so the vector's capacity stays bounded by the peak backlog.
+    if (eventHead_ > 0 && 2 * eventHead_ >= events_.size()) {
+        events_.erase(events_.begin(),
+                      events_.begin() +
+                          static_cast<std::ptrdiff_t>(eventHead_));
+        eventHead_ = 0;
+    }
     events_.push_back(ev);
-    std::push_heap(events_.begin(), events_.end(),
-                   std::greater<MissEvent>{});
 }
 
 void
@@ -360,7 +377,7 @@ System::fastForward(Cycle next_cpu_at)
     // dispatching a memory instruction) this costs a few comparisons,
     // and the DRAM horizon — a scan over queues and banks — is only
     // computed when a real skip is possible.
-    if (!events_.empty() && events_.front().at <= next_cpu_at)
+    if (hasMissEvents() && nextMissEvent().at <= next_cpu_at)
         return next_cpu_at;
     Cycle stop = kCycleMax;
     bool any_burst = false;
@@ -382,8 +399,8 @@ System::fastForward(Cycle next_cpu_at)
         }
         stop = std::min(stop, h);
     }
-    if (!events_.empty())
-        stop = std::min(stop, events_.front().at);
+    if (hasMissEvents())
+        stop = std::min(stop, nextMissEvent().at);
     // A scheduled checkpoint must be taken at its exact loop top, so
     // never skip across one.
     if (!checkpoints_.empty())
@@ -489,11 +506,9 @@ System::run()
         if (!checkpoints_.empty())
             maybeCheckpoint();
 
-        while (!events_.empty() && events_.front().at <= now_) {
-            MissEvent ev = events_.front();
-            std::pop_heap(events_.begin(), events_.end(),
-                          std::greater<MissEvent>{});
-            events_.pop_back();
+        while (hasMissEvents() && nextMissEvent().at <= now_) {
+            // runMissEvent may push (an MSHR-full retry), so pop first.
+            const MissEvent ev = events_[eventHead_++];
             runMissEvent(ev);
         }
 
@@ -512,14 +527,12 @@ System::run()
                 resetAfterWarmup();
                 warmup_retired_base = warmup;
                 retireThreshold_ = target - warmup;
-                if (!warmupCheckpointPath_.empty()) {
-                    // Tick 0 is already past: the snapshot is taken at
-                    // the next loop top, a deterministic iteration
-                    // boundary just after the statistics reset.
-                    checkpoints_.emplace_back(
-                        0, std::move(warmupCheckpointPath_));
-                    warmupCheckpointPath_.clear();
-                }
+                // Tick 0 is already past: the snapshots are taken at
+                // the next loop top, a deterministic iteration boundary
+                // just after the statistics reset.
+                for (std::string &path : warmupCheckpointPaths_)
+                    checkpoints_.emplace_back(0, std::move(path));
+                warmupCheckpointPaths_.clear();
             }
         }
         if (done >= target - (warmupDone_ ? warmup_retired_base : 0))
@@ -537,10 +550,10 @@ System::run()
              "the run ended at tick {}",
              cp.second, cp.first, now_);
     }
-    if (!warmupCheckpointPath_.empty()) {
+    for (const std::string &path : warmupCheckpointPaths_) {
         warn("warm-up checkpoint '{}' was never taken: the run ended "
              "before warm-up completed",
-             warmupCheckpointPath_);
+             path);
     }
 
     RunMetrics m;
@@ -592,7 +605,7 @@ System::checkpointAtWarmup(std::string path)
 {
     if (warmupDone_)
         fatal("checkpointAtWarmup: warm-up already completed");
-    warmupCheckpointPath_ = std::move(path);
+    warmupCheckpointPaths_.push_back(std::move(path));
 }
 
 Cycle
@@ -627,14 +640,19 @@ System::serdeState(Archive &ar)
     ar.io(warmupDone_);
     ar.io(warmupCycleStamp_);
 
-    // The pending miss events round-trip as the raw heap array, so
-    // the restored heap pops in exactly the straight run's order.
-    std::uint64_t n_events = events_.size();
+    // The pending miss events are written in pop order. A sorted
+    // array is also a valid min-heap, so the format is unchanged;
+    // older snapshots hold a heap order instead, so the load sorts.
+    std::uint64_t n_events = events_.size() - eventHead_;
     ar.io(n_events);
-    if (ar.loading())
+    if (ar.loading()) {
         events_.resize(static_cast<std::size_t>(n_events));
-    for (MissEvent &ev : events_)
-        ev.serdeState(ar);
+        eventHead_ = 0;
+    }
+    for (std::size_t i = eventHead_; i < events_.size(); ++i)
+        events_[i].serdeState(ar);
+    if (ar.loading())
+        std::sort(events_.begin(), events_.end());
 
     ar.expectCount(traces_.size(), "trace sources");
     for (TraceSource *t : traces_)

@@ -198,7 +198,7 @@ class System
     /**
      * Save a checkpoint at the first iteration after the warm-up
      * statistics reset — the shared warm state that warm-start sweep
-     * forking resumes from.
+     * forking resumes from. Repeatable: every path is written.
      */
     void checkpointAtWarmup(std::string path);
 
@@ -211,7 +211,7 @@ class System
     /**
      * A deferred LLC-miss hand-off: the cache-latency delay between a
      * core access missing the hierarchy and the MSHR/DRAM side seeing
-     * it. A POD (no closures) so the pending-event heap serialises
+     * it. A POD (no closures) so the pending-event queue serialises
      * verbatim and a restored run pops events in exactly the straight
      * run's (at, seq) order.
      */
@@ -226,9 +226,9 @@ class System
         Cycle issueTick = 0;
 
         bool
-        operator>(const MissEvent &o) const
+        operator<(const MissEvent &o) const
         {
-            return at != o.at ? at > o.at : seq > o.seq;
+            return at != o.at ? at < o.at : seq < o.seq;
         }
 
         void
@@ -243,6 +243,12 @@ class System
             ar.io(issueTick);
         }
     };
+
+    /** Append @p ev to the pending-event FIFO; panics unless it sorts
+     *  at or after the back (see events_). */
+    void pushMissEvent(const MissEvent &ev);
+    bool hasMissEvents() const { return eventHead_ < events_.size(); }
+    const MissEvent &nextMissEvent() const { return events_[eventHead_]; }
 
     /**
      * @p slot: the issuing ROB slot for loads (completed via
@@ -330,16 +336,20 @@ class System
     std::unique_ptr<MshrFile> mshrs_;
     std::vector<std::unique_ptr<Core>> cores_;
 
-    /** Pending miss events as an explicit min-heap (std::push_heap /
-     *  std::pop_heap with greater<>) so checkpoints capture the raw
-     *  heap array — identical bytes, identical pop order. */
+    /**
+     * Pending miss events, a FIFO: the live ones are
+     * events_[eventHead_..]. Every event is due a constant LLC latency
+     * after the non-decreasing now_ that pushed it, so push order is
+     * already (at, seq) order and no heap is needed.
+     */
     std::vector<MissEvent> events_;
+    std::size_t eventHead_ = 0;
     std::uint64_t eventSeq_ = 0;
 
     /** Scheduled (tick, path) checkpoints still to be taken. */
     std::vector<std::pair<Cycle, std::string>> checkpoints_;
-    /** Non-empty: checkpoint here right after the warm-up reset. */
-    std::string warmupCheckpointPath_;
+    /** Checkpoints to take right after the warm-up reset. */
+    std::vector<std::string> warmupCheckpointPaths_;
 
     Cycle now_ = 0;
     CacheHierarchy::WritebackSink wbSink_;

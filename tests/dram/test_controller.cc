@@ -25,7 +25,9 @@ struct ControllerHarness
     {
     }
 
-    /** Submit a request; records completion time into done. */
+    /** Submit a request; records its completion (in ticks: the
+     *  controller reports callback times in the global tick domain,
+     *  so expectations compare against cycle * kMemTick). */
     void
     submit(std::uint64_t row, std::uint64_t col, bool write, Cycle now,
            unsigned rank = 0, unsigned bank = 0)
@@ -84,7 +86,8 @@ TEST(Controller, SingleReadLatency)
     Cycle expected = 1 + h.timing.slow.tRCD + h.timing.slow.tCL +
                      h.timing.tBL;
     EXPECT_NEAR(static_cast<double>(h.completions[0].first),
-                static_cast<double>(expected), 2.0);
+                static_cast<double>(memCyclesToTicks(expected)),
+                static_cast<double>(memCyclesToTicks(2)));
     EXPECT_EQ(h.completions[0].second, ServiceLocation::SlowLevel);
     EXPECT_EQ(h.ctrl.readCount(), 1u);
     EXPECT_EQ(h.ctrl.actCountSlow(), 1u);
@@ -122,8 +125,9 @@ TEST(Controller, RowConflictPrechargesAndReactivates)
     // Second request waits at least tRAS + tRP + tRCD after first ACT.
     Cycle min_gap = h.timing.slow.tRC + h.timing.slow.tRCD;
     EXPECT_GE(h.completions[1].first,
-              h.completions[0].first + min_gap -
-                  (h.timing.slow.tCL + h.timing.tBL));
+              h.completions[0].first +
+                  memCyclesToTicks(min_gap -
+                                   (h.timing.slow.tCL + h.timing.tBL)));
 }
 
 TEST(Controller, FrFcfsPrefersRowHitOverOlderConflict)
@@ -204,7 +208,7 @@ TEST(Controller, MigrationCompletesAndReportsCycle)
     EXPECT_EQ(h.ctrl.pendingMigrations(), 1u);
     h.drain();
     EXPECT_GT(done_at, 0u);
-    EXPECT_GE(done_at, h.timing.swapCycles);
+    EXPECT_GE(done_at, memCyclesToTicks(h.timing.swapCycles));
     EXPECT_EQ(h.ctrl.migrationCount(), 1u);
 }
 
@@ -228,8 +232,9 @@ TEST(Controller, MigrationBlocksGroupRowsButNotOthers)
     h.submit(100, 0, false, h.now);
     h.drain();
     EXPECT_GT(h.completions[0].first,
-              h.timing.swapCycles); // waited out the swap
-    EXPECT_LT(h.completions[1].first, h.timing.swapCycles);
+              memCyclesToTicks(h.timing.swapCycles)); // waited it out
+    EXPECT_LT(h.completions[1].first,
+              memCyclesToTicks(h.timing.swapCycles));
 }
 
 TEST(Controller, MigrationDefersToPendingGroupRequests)

@@ -472,7 +472,7 @@ TEST(ReadinessCache, ActMovesHorizonToColumnWindow)
     EXPECT_EQ(h.ctrl->nextWakeCycle(rd_at), done);
     h.runTo(done, rd_at + 1);
     ASSERT_EQ(h.completions.size(), 1u);
-    EXPECT_EQ(h.completions[0].second, done);
+    EXPECT_EQ(h.completions[0].second, memCyclesToTicks(done));
 }
 
 /**
@@ -506,7 +506,8 @@ TEST(ReadinessCache, ConflictPrechargeLadderIsExact)
     EXPECT_EQ(h.cmdCycle(DramCommand::RD, 2), rd2_expect);
     ASSERT_EQ(h.completions.size(), 2u);
     EXPECT_EQ(h.completions[1].second,
-              rd2_expect + h.timing.slow.tCL + h.timing.tBL);
+              memCyclesToTicks(rd2_expect + h.timing.slow.tCL +
+                               h.timing.tBL));
 }
 
 /**
@@ -570,11 +571,11 @@ TEST(ReadinessCache, MigrationReservationBlocksAllButExemptRows)
     ASSERT_EQ(h.completions.size(), 2u);
     // The exempt row completed inside the reservation window...
     EXPECT_EQ(h.completions[0].first, 2u);
-    EXPECT_LT(h.completions[0].second, res_end);
+    EXPECT_LT(h.completions[0].second, memCyclesToTicks(res_end));
     // ...the blocked row only after it, and the job finished on time.
     EXPECT_EQ(h.completions[1].first, 1u);
-    EXPECT_GT(h.completions[1].second, res_end);
-    EXPECT_EQ(mig_done, res_end);
+    EXPECT_GT(h.completions[1].second, memCyclesToTicks(res_end));
+    EXPECT_EQ(mig_done, memCyclesToTicks(res_end));
 }
 
 /**

@@ -284,6 +284,27 @@ TEST(ConfigJson, WarmupFractionOutsideZeroToOneIsFatal)
     EXPECT_EQ(cfg.warmupFraction, 0.999);
 }
 
+TEST(ConfigJson, TraceRequestsOutsideClosedZeroToOneIsFatal)
+{
+    // A sampling rate: both ends are meaningful (0 = off, 1 = every
+    // request), anything outside them is not, as for --trace-requests.
+    SimConfig cfg;
+    EXPECT_DEATH(setConfigField(cfg, "observability.traceRequests=5"),
+                 "'observability.traceRequests' must be in \\[0, 1\\], "
+                 "got 5");
+    EXPECT_DEATH(setConfigField(cfg, "observability.traceRequests=-0.1"),
+                 "'observability.traceRequests' must be in \\[0, 1\\], "
+                 "got -0.1");
+    EXPECT_DEATH(
+        configFromJson(R"({"observability": {"traceRequests": 1.5}})"),
+        "'observability.traceRequests' must be in");
+    for (double rate : {0.0, 0.25, 1.0}) {
+        setConfigField(cfg, "observability.traceRequests=" +
+                                std::to_string(rate));
+        EXPECT_EQ(cfg.obs.traceRequests, rate);
+    }
+}
+
 TEST(ConfigJson, SeedsAbove2To53RoundTripExactly)
 {
     for (std::uint64_t seed :

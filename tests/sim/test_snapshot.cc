@@ -4,16 +4,22 @@
  * checkpoint envelope (truncation, wrong magic, future version,
  * config-fingerprint mismatch) and the bit-identity guarantee — a run
  * restored from a mid-run checkpoint must reproduce the straight
- * run's stats exactly, including mid-epoch EpochSeries alignment.
+ * run's stats exactly, including mid-epoch EpochSeries alignment —
+ * and the pending-miss-event layout (pop order written, heap order
+ * from older files accepted).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/binfmt.hh"
 #include "sim/system.hh"
@@ -49,6 +55,17 @@ std::string
 tmpPath(const char *name)
 {
     return ::testing::TempDir() + name;
+}
+
+/** A checkpoint path no other test process uses: ctest runs each test
+ *  on its own and the Snapshot* suite as a whole at the same time, and
+ *  the tests below delete and rewrite their files. */
+std::string
+uniqueTmpPath(const std::string &name)
+{
+    const std::string file =
+        name + "_" + std::to_string(::getpid()) + ".ckpt";
+    return tmpPath(file.c_str());
 }
 
 /** The complete stats-JSONL dump of a finished system, as a string. */
@@ -209,5 +226,156 @@ TEST(Snapshot, WarmupCheckpointSkipsWarmup)
     std::string straight = statsDump(s1);
     std::string restored = runRestored(cfg, path);
     EXPECT_EQ(straight, restored);
+    std::remove(path.c_str());
+}
+
+TEST(Snapshot, RepeatedWarmupCheckpointsWriteEveryPath)
+{
+    const std::string a = uniqueTmpPath("snap_warm_a");
+    const std::string b = uniqueTmpPath("snap_warm_b");
+    std::remove(a.c_str());
+    std::remove(b.c_str());
+    SimConfig cfg = snapConfig();
+    SyntheticTrace t1(snapProfile(), 1);
+    System s1(cfg, {&t1});
+    s1.checkpointAtWarmup(a);
+    s1.checkpointAtWarmup(b);
+    s1.run();
+    const std::string straight = statsDump(s1);
+
+    // Both are taken at the same loop top, so they hold the same state.
+    binfmt::EnvelopeResult ea = binfmt::readEnvelopeFile(
+        a, System::kSnapshotMagic, System::kSnapshotVersion, "checkpoint");
+    binfmt::EnvelopeResult eb = binfmt::readEnvelopeFile(
+        b, System::kSnapshotMagic, System::kSnapshotVersion, "checkpoint");
+    ASSERT_TRUE(ea.ok()) << ea.error;
+    ASSERT_TRUE(eb.ok()) << eb.error;
+    EXPECT_EQ(ea.payload, eb.payload);
+    EXPECT_EQ(runRestored(cfg, a), straight);
+    EXPECT_EQ(runRestored(cfg, b), straight);
+    std::remove(a.c_str());
+    std::remove(b.c_str());
+}
+
+namespace
+{
+
+/**
+ * Where the pending miss events sit in a checkpoint payload: after the
+ * config fingerprint, the "system" section header (name length, name,
+ * section length), now, the event sequence counter and the two warm-up
+ * fields comes the event count, then the events, seven 8-byte fields
+ * each (at, seq, core, slot, line, isWrite, issueTick).
+ */
+constexpr std::size_t kEventCountAt = 8 + (8 + 6 + 8) + 4 * 8;
+constexpr std::size_t kEventBytes = 7 * 8;
+
+std::size_t
+eventAt(std::size_t i)
+{
+    return kEventCountAt + 8 + i * kEventBytes;
+}
+
+std::vector<unsigned char>
+readPayload(const std::string &path)
+{
+    binfmt::EnvelopeResult env = binfmt::readEnvelopeFile(
+        path, System::kSnapshotMagic, System::kSnapshotVersion,
+        "checkpoint");
+    EXPECT_TRUE(env.ok()) << env.error;
+    return env.payload;
+}
+
+void
+writePayload(const std::string &path,
+             const std::vector<unsigned char> &payload)
+{
+    std::string err = binfmt::writeEnvelopeFile(
+        path, System::kSnapshotMagic, System::kSnapshotVersion, payload);
+    ASSERT_TRUE(err.empty()) << err;
+}
+
+/**
+ * Run straight through @p cfg, checkpointing at a series of loop tops
+ * into files named after @p tag,
+ * and return (straight-run stats, payload of the first checkpoint with
+ * at least @p min_events pending miss events). Misses come in bursts,
+ * so the candidates are ten CPU cycles apart across one (the
+ * snapProfile run has five events pending at tick 200320). Every
+ * candidate file is removed again.
+ */
+std::pair<std::string, std::vector<unsigned char>>
+checkpointWithEvents(const SimConfig &cfg, const std::string &tag,
+                     std::uint64_t min_events)
+{
+    constexpr unsigned kCandidates = 8;
+    SyntheticTrace trace(snapProfile(), 1);
+    System sys(cfg, {&trace});
+    std::vector<std::string> paths;
+    for (unsigned k = 0; k < kCandidates; ++k) {
+        paths.push_back(uniqueTmpPath(tag + std::to_string(k)));
+        sys.scheduleCheckpoint(200'200 + 10 * kCpuTick * k, paths.back());
+    }
+    sys.run();
+    std::vector<unsigned char> found;
+    for (const std::string &p : paths) {
+        std::vector<unsigned char> payload = readPayload(p);
+        std::remove(p.c_str());
+        if (found.empty() && payload.size() >= eventAt(0) &&
+            binfmt::getLe(payload.data() + kEventCountAt, 8) >= min_events)
+            found = std::move(payload);
+    }
+    return {statsDump(sys), found};
+}
+
+} // namespace
+
+/**
+ * Snapshots write the pending miss events in pop order; snapshots from
+ * before the events became a FIFO hold a min-heap array instead. Such
+ * a file — events 1 and 2 of a sorted array swapped, which is still a
+ * valid heap — must restore, pop in (at, seq) order and finish exactly
+ * like the straight run.
+ */
+TEST(Snapshot, HeapOrderedMissEventsRestoreInDueOrder)
+{
+    SimConfig cfg = snapConfig();
+    auto [straight, payload] = checkpointWithEvents(cfg, "snap_heap_", 3);
+    ASSERT_FALSE(payload.empty()) << "no candidate had 3 pending events";
+
+    const std::uint64_t n = binfmt::getLe(payload.data() + kEventCountAt, 8);
+    for (std::size_t i = 1; i < n; ++i) {
+        const std::uint64_t at0 = binfmt::getLe(&payload[eventAt(i - 1)], 8);
+        const std::uint64_t at1 = binfmt::getLe(&payload[eventAt(i)], 8);
+        const std::uint64_t seq0 =
+            binfmt::getLe(&payload[eventAt(i - 1) + 8], 8);
+        const std::uint64_t seq1 = binfmt::getLe(&payload[eventAt(i) + 8], 8);
+        ASSERT_TRUE(at0 < at1 || (at0 == at1 && seq0 < seq1))
+            << "events not written in pop order at " << i;
+    }
+    std::swap_ranges(payload.begin() + eventAt(1),
+                     payload.begin() + eventAt(2),
+                     payload.begin() + eventAt(2));
+    const std::string path = uniqueTmpPath("snap_heap_order");
+    writePayload(path, payload);
+    EXPECT_EQ(runRestored(cfg, path), straight);
+    std::remove(path.c_str());
+}
+
+/** The pending-event FIFO relies on every push sorting at or after
+ *  the back; an event due later than any live push could be (only
+ *  reachable through a doctored snapshot) must stop the run. */
+TEST(SnapshotDeathTest, OutOfOrderMissEventPushPanics)
+{
+    SimConfig cfg = snapConfig();
+    std::vector<unsigned char> payload =
+        checkpointWithEvents(cfg, "snap_late_", 1).second;
+    ASSERT_FALSE(payload.empty()) << "no candidate had a pending event";
+    const std::uint64_t n = binfmt::getLe(payload.data() + kEventCountAt, 8);
+    unsigned char *last_at = &payload[eventAt(n - 1)];
+    binfmt::putLe(last_at, binfmt::getLe(last_at, 8) + 1'000'000'000, 8);
+    const std::string path = uniqueTmpPath("snap_late_event");
+    writePayload(path, payload);
+    EXPECT_DEATH(runRestored(cfg, path), "pushed behind");
     std::remove(path.c_str());
 }
