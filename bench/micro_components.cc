@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the simulator's hot components:
  * address decode, translation table/cache operations, cache lookups,
  * trace generation, the MSHR miss cycle, one DRAM request's submit →
- * completion and raw DRAM command throughput. These guard the
+ * completion, the DRAM clock when idle and under a deferred swap, and
+ * raw DRAM command throughput. These guard the
  * simulator's own performance (it must sustain millions of memory
  * operations per second to make the figure sweeps practical).
  */
@@ -237,5 +238,59 @@ BM_DramSubmitComplete(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DramSubmitComplete);
+
+/** The DRAM system's clock between requests: one tick() per CPU cycle
+ *  with both channels empty and refresh on, as a compute-bound core
+ *  drives it. */
+static void
+BM_DramIdleTick(benchmark::State &state)
+{
+    DramGeometry g;
+    DramTiming t = ddr3_1600Timing();
+    UniformRowClassifier cls(RowClass::Slow);
+    DramSystem dram(g, t, cls);
+    Cycle now = 0;
+    for (auto _ : state) {
+        now += kCpuTick;
+        dram.tick(now);
+    }
+    benchmark::DoNotOptimize(dram.busy());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DramIdleTick);
+
+/** One memory cycle of a loaded channel with a swap queued behind
+ *  demand: reads keep channel 0's queue full of row conflicts inside
+ *  the swap's migration group, so the swap defers to them until its
+ *  budget runs out, runs, and is queued again when it finishes. */
+static void
+BM_DramMigrationPending(benchmark::State &state)
+{
+    DramGeometry g;
+    DramTiming t = ddr3_1600Timing();
+    UniformRowClassifier cls(RowClass::Slow);
+    DramSystem dram(g, t, cls);
+    bool swap_done = true;
+    Cycle now = 0;
+    std::uint64_t n = 0;
+    for (auto _ : state) {
+        if (swap_done) {
+            swap_done = false;
+            dram.startMigration(0, 0, 0, 20, 1, true, 0, 32,
+                                [&swap_done](Cycle) { swap_done = true; });
+        }
+        const DramLoc loc{0, 0, 0, 4 + n % 16, n % 128};
+        if (dram.canAccept(loc, false)) {
+            auto req = std::make_unique<MemRequest>(n * 64, false, 0);
+            req->loc = loc;
+            dram.submit(std::move(req), now);
+            ++n;
+        }
+        now += kMemTick;
+        dram.tick(now);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DramMigrationPending);
 
 BENCHMARK_MAIN();

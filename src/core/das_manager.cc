@@ -317,7 +317,7 @@ void
 DasManager::maybePromote(GlobalRowId logical, Cycle now)
 {
     std::uint64_t group = layout_->globalGroupOf(logical);
-    if (swapsInFlight_.count(group)) {
+    if (swapsInFlight_.contains(group)) {
         promotionsSkippedBusy_.inc();
         return;
     }
@@ -377,7 +377,7 @@ void
 DasManager::maybePromoteInclusive(GlobalRowId logical, Cycle now)
 {
     std::uint64_t group = layout_->globalGroupOf(logical);
-    if (swapsInFlight_.count(group)) {
+    if (swapsInFlight_.contains(group)) {
         promotionsSkippedBusy_.inc();
         return;
     }
@@ -523,13 +523,11 @@ DasManager::serdeState(Archive &ar)
         }
     }
 
-    auto serde_u64_set = [&ar](auto &set) {
+    auto serde_u64_set = [&ar](FlatU64Set &set) {
         std::uint64_t count = set.size();
         ar.io(count);
         if (ar.saving()) {
-            std::vector<std::uint64_t> sorted(set.begin(), set.end());
-            std::sort(sorted.begin(), sorted.end());
-            for (std::uint64_t v : sorted)
+            for (std::uint64_t v : set.sorted())
                 ar.io(v);
         } else {
             set.clear();

@@ -14,10 +14,10 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "common/flat_set.hh"
 #include "common/stats.hh"
 #include "core/inclusive_directory.hh"
 #include "core/promotion_policy.hh"
@@ -264,8 +264,8 @@ class DasManager
     std::vector<PendingAccess> retry_;
     /** In-flight table-line walks: accesses waiting on the same line. */
     std::unordered_map<Addr, std::vector<PendingAccess>> walksInFlight_;
-    std::unordered_set<std::uint64_t> swapsInFlight_; ///< group ids
-    std::unordered_set<GlobalRowId> touchedRows_;     ///< footprint
+    FlatU64Set swapsInFlight_; ///< group ids
+    FlatU64Set touchedRows_;   ///< footprint (GlobalRowIds)
 
     StatGroup statGroup_;
     Counter demandAccesses_, rowBufferHits_, fastAccesses_, slowAccesses_;

@@ -8,6 +8,45 @@
 namespace dasdram
 {
 
+namespace
+{
+
+/** Rows a job blocks while it runs: its declared range widened to
+ *  cover both rows it moves, as [first, second). */
+std::pair<std::uint64_t, std::uint64_t>
+migrationRows(const MigrationJob &job)
+{
+    return {std::min({job.rowLo, job.rowA, job.rowB}),
+            std::max({job.rowHi, job.rowA + 1, job.rowB + 1})};
+}
+
+/** True iff @p bank's open row lies in [@p row_lo, @p row_hi) and is
+ *  not one of the two rows @p job moves: the job must close it first
+ *  (its row buffer is needed for the transfer). */
+bool
+openRowInRange(const Bank &bank, const MigrationJob &job,
+               std::uint64_t row_lo, std::uint64_t row_hi)
+{
+    return bank.hasOpenRow() && bank.openRow() >= row_lo &&
+           bank.openRow() < row_hi && bank.openRow() != job.rowA &&
+           bank.openRow() != job.rowB;
+}
+
+/** True iff a job queued before @p it runs in the same bank: jobs run
+ *  FIFO per bank, so @p it waits for that one to start. */
+template <class It>
+bool
+queuedBehind(It first, It it)
+{
+    for (; first != it; ++first) {
+        if (first->rank == it->rank && first->bank == it->bank)
+            return true;
+    }
+    return false;
+}
+
+} // namespace
+
 ChannelController::ChannelController(unsigned channel_id,
                                      const DramGeometry &geom,
                                      const DramTiming &timing,
@@ -360,15 +399,9 @@ ChannelController::serviceMigrations(Cycle now)
         Bank &bank = rank.bank(job.bank);
 
         // Keep per-bank FIFO order: skip if an earlier job or an active
-        // migration holds this bank.
-        bool earlier = false;
-        for (auto jt = migrations_.begin(); jt != it; ++jt) {
-            if (jt->rank == job.rank && jt->bank == job.bank) {
-                earlier = true;
-                break;
-            }
-        }
-        if (earlier || bank.reserved(now))
+        // migration holds this bank. nextWakeCycle inverts every gate
+        // below into the cycle it opens; keep the two in step.
+        if (queuedBehind(migrations_.begin(), it) || bank.reserved(now))
             continue;
         if (cfg_.refreshEnabled && rank.refreshDue(now))
             continue; // let the refresh drain first
@@ -379,33 +412,17 @@ ChannelController::serviceMigrations(Cycle now)
 
         if (job.enqueuedAt == kCycleMax)
             job.enqueuedAt = now;
-        std::uint64_t row_lo = std::min({job.rowLo, job.rowA, job.rowB});
-        std::uint64_t row_hi =
-            std::max({job.rowHi, job.rowA + 1, job.rowB + 1});
+        const auto [row_lo, row_hi] = migrationRows(job);
 
         // Background work: yield to queued demand requests targeting
         // the affected row range until the deferral budget runs out.
-        if (now < job.enqueuedAt + cfg_.migrationMaxDefer) {
-            auto targets_range = [&](const auto &queue) {
-                for (const auto &r : queue) {
-                    if (r->loc.rank == job.rank &&
-                        r->loc.bank == job.bank && r->loc.row >= row_lo &&
-                        r->loc.row < row_hi && r->loc.row != job.rowA &&
-                        r->loc.row != job.rowB) {
-                        return true;
-                    }
-                }
-                return false;
-            };
-            if (targets_range(readQueue_) || targets_range(writeQueue_))
-                continue;
+        if (now < job.enqueuedAt + cfg_.migrationMaxDefer &&
+            demandTargets(job, row_lo, row_hi)) {
+            continue;
         }
 
-        if (bank.hasOpenRow() && bank.openRow() >= row_lo &&
-            bank.openRow() < row_hi && bank.openRow() != job.rowA &&
-            bank.openRow() != job.rowB) {
-            // The open row sits in the migration's subarrays: close it
-            // first (its row buffer is needed for the transfer).
+        if (openRowInRange(bank, job, row_lo, row_hi)) {
+            // Close the open row in the job's subarrays first.
             if (bank.canPrecharge(now)) {
                 emitPrecharge(now, job.rank, job.bank, bank);
                 bank.precharge(now);
@@ -440,6 +457,24 @@ ChannelController::serviceMigrations(Cycle now)
         return true;
     }
     return false;
+}
+
+bool
+ChannelController::demandTargets(const MigrationJob &job,
+                                 std::uint64_t row_lo,
+                                 std::uint64_t row_hi) const
+{
+    auto targets = [&](const auto &queue) {
+        for (const auto &r : queue) {
+            if (r->loc.rank == job.rank && r->loc.bank == job.bank &&
+                r->loc.row >= row_lo && r->loc.row < row_hi &&
+                r->loc.row != job.rowA && r->loc.row != job.rowB) {
+                return true;
+            }
+        }
+        return false;
+    };
+    return targets(readQueue_) || targets(writeQueue_);
 }
 
 bool
@@ -680,17 +715,8 @@ ChannelController::issueFromQueue(
 }
 
 void
-ChannelController::tick(Cycle now)
+ChannelController::updateWriteDrain()
 {
-    retireCompletions(now);
-
-    bool issued = false;
-    if (cfg_.refreshEnabled)
-        issued = serviceRefresh(now);
-    if (!issued)
-        issued = serviceMigrations(now);
-
-    // Write-drain hysteresis.
     if (!drainingWrites_) {
         if (writeQueue_.size() >= cfg_.writeHighWatermark ||
             (readQueue_.empty() && !writeQueue_.empty())) {
@@ -701,6 +727,20 @@ ChannelController::tick(Cycle now)
                 !readQueue_.empty())) {
         drainingWrites_ = false;
     }
+}
+
+void
+ChannelController::tick(Cycle now)
+{
+    retireCompletions(now);
+
+    bool issued = false;
+    if (cfg_.refreshEnabled)
+        issued = serviceRefresh(now);
+    if (!issued)
+        issued = serviceMigrations(now);
+
+    updateWriteDrain();
 
     if (!issued) {
         // The rollup cache knows the earliest cycle any queued request
@@ -885,12 +925,30 @@ ChannelController::nextWakeCycle(Cycle now) const
         next = std::min(next, completions_.front().at);
     for (const auto &m : activeMigrations_)
         next = std::min(next, m.first);
-    // Migration jobs that have not started keep the controller on a
-    // per-cycle cadence: their gating (per-bank FIFO, deferral to
-    // queued demand, enqueuedAt stamping) is stateful in ways a cheap
-    // bound cannot capture, and jobs spend few cycles in this state.
-    if (!migrations_.empty())
-        next = std::min(next, now + 1);
+    // Migration jobs that have not started: the first job of each bank
+    // acts (stamps enqueuedAt, closes its subarrays' open row or
+    // starts) no earlier than the cycle at which every gate of
+    // serviceMigrations has opened. A due refresh is covered by the
+    // refresh term below; later jobs of a bank wait for a start, and
+    // a start is a tick, which recomputes this horizon.
+    for (auto it = migrations_.begin(); it != migrations_.end(); ++it) {
+        if (queuedBehind(migrations_.begin(), it))
+            continue;
+        const MigrationJob &job = *it;
+        const Bank &bank = ranks_[job.rank].bank(job.bank);
+        const auto [row_lo, row_hi] = migrationRows(job);
+        Cycle t =
+            std::max({now + 1, bank.reservedUntil(), bank.actAllowedAt()});
+        // An unstamped job is stamped on its first cycle past the gates
+        // above, so only a stamped one can be held by the deferral.
+        if (job.enqueuedAt != kCycleMax &&
+            demandTargets(job, row_lo, row_hi)) {
+            t = std::max(t, job.enqueuedAt + cfg_.migrationMaxDefer);
+        }
+        if (openRowInRange(bank, job, row_lo, row_hi))
+            t = std::max(t, bank.preAllowedAt());
+        next = std::min(next, t);
+    }
     if (cfg_.refreshEnabled) {
         // nextRefreshAt() stays in the past for the whole drain window
         // (until the REF issues), so a due refresh pins the horizon to

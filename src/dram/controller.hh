@@ -183,6 +183,20 @@ class ChannelController
     void tick(Cycle now);
 
     /**
+     * The write-drain hysteresis step tick() takes before it issues:
+     * start draining the write queue at the high watermark (or when
+     * no read waits), stop at the low watermark (or when it is empty).
+     * It is the one part of a tick below the horizon that is not a
+     * no-op: tick() evaluates it before an issue changes the queues,
+     * so the flag can lag the queue sizes until the next tick, and a
+     * later enqueue may then see a different flag than a tick in
+     * between would have left. DramSystem applies it on every
+     * catch-up cycle to the channels it does not tick, exactly as
+     * ticking them did.
+     */
+    void updateWriteDrain();
+
+    /**
      * Earliest cycle at which tick() could do useful work, for
      * fast-forwarding an idle system. Returns kCycleMax when fully idle
      * with refresh disabled.
@@ -193,10 +207,19 @@ class ChannelController
      * tFAW / tWTR, refresh deadlines, bus occupancy, reservations).
      * The bound may be early — waking the controller on a cycle where
      * nothing issues is a no-op — but is never late: skipping every
-     * cycle below the horizon is indistinguishable from ticking them.
-     * Both the internal catch-up loop of DramSystem::tick and the
-     * event engine's outer loop rely on exactly that property, which
-     * the differential suite (ctest -L differential) enforces.
+     * cycle below the horizon is indistinguishable from ticking them,
+     * apart from updateWriteDrain(). Both DramSystem::tick, which ticks
+     * only the channels whose horizon has arrived, and the event
+     * engine's outer loop rely on exactly that property, which the
+     * differential suite (ctest -L differential) enforces.
+     *
+     * A migration job that has not started contributes the first
+     * cycle serviceMigrations could act on it: for the first job of
+     * each bank, max(now + 1, reservedUntil, actAllowedAt), raised to
+     * enqueuedAt + migrationMaxDefer while the job is stamped and
+     * queued demand targets its rows, and to preAllowedAt while its
+     * rows hold the bank's open row. Later jobs of a bank add nothing:
+     * they wait for the first to start, which is a tick.
      */
     Cycle nextWakeCycle(Cycle now) const;
 
@@ -287,6 +310,14 @@ class ChannelController
     bool serviceMigrations(Cycle now);
     bool issueFromQueue(std::vector<std::unique_ptr<MemRequest>> &queue,
                         Cycle now);
+
+    /**
+     * True iff a queued demand request targets @p job's rows
+     * [@p row_lo, @p row_hi) other than the two it moves: the job
+     * defers to it until its deferral budget runs out.
+     */
+    bool demandTargets(const MigrationJob &job, std::uint64_t row_lo,
+                       std::uint64_t row_hi) const;
 
     /**
      * If queue[i] is a ready row hit, issue its column command, retire

@@ -20,6 +20,7 @@ DramSystem::DramSystem(const DramGeometry &geom, const DramTiming &timing,
             c, geom, timing_, classifier, ctrl_cfg));
         statGroup_.addChild(&channels_.back()->stats());
     }
+    wakes_.resize(channels_.size());
     statGroup_.addCounter("forwardedReads", &forwardedReads_,
                           "reads served from a channel write queue");
 }
@@ -70,7 +71,9 @@ DramSystem::submit(std::unique_ptr<MemRequest> req, Cycle now_tick)
         return;
     }
 
+    const unsigned c = req->loc.channel;
     ch.enqueue(std::move(req), mem_now);
+    markStale(c);
 }
 
 void
@@ -92,6 +95,7 @@ DramSystem::startMigration(unsigned channel, unsigned rank, unsigned bank,
     job.group = group;
     job.onDone = std::move(on_done);
     channels_[channel]->addMigration(std::move(job));
+    markStale(channel);
 }
 
 void
@@ -103,6 +107,10 @@ DramSystem::serdeState(Archive &ar)
     for (const auto &ch : channels_)
         ch->serdeState(ar);
     ar.end();
+    if (ar.loading()) {
+        for (unsigned c = 0; c < channels_.size(); ++c)
+            markStale(c);
+    }
 }
 
 void
@@ -142,28 +150,61 @@ DramSystem::setRequestTraceSink(RequestTraceSink *sink)
 }
 
 void
-DramSystem::tick(Cycle now_tick)
+DramSystem::catchUp(Cycle target)
 {
-    const Cycle target = now_tick / kMemTick;
+    // Each catch-up cycle is the earliest wake (or the next cycle),
+    // exactly as when every channel ticked on every one of them. A
+    // tick below a channel's horizon changes nothing but its
+    // write-drain flag, so the channels not due get just that step.
+    // Every wake is fresh when a cycle starts; one that goes stale
+    // before its channel's turn was fed by an earlier channel's
+    // callback in this cycle, and ticks now, as before.
     while (lastMemCycle_ < target) {
-        Cycle next_needed = kCycleMax;
-        for (const auto &ch : channels_) {
-            next_needed =
-                std::min(next_needed, ch->nextWakeCycle(lastMemCycle_));
-        }
-        if (next_needed > target) {
+        const Cycle next = refreshWakes();
+        if (next > target) {
             lastMemCycle_ = target;
-            break;
+            return;
         }
-        lastMemCycle_ = std::max(lastMemCycle_ + 1, next_needed);
-        for (const auto &ch : channels_)
-            ch->tick(lastMemCycle_);
+        const Cycle now = std::max(lastMemCycle_ + 1, next);
+        lastMemCycle_ = now;
+        for (unsigned c = 0; c < channels_.size(); ++c) {
+            if (wakes_[c].stale || wakes_[c].at <= now) {
+                markStale(c);
+                channels_[c]->tick(now);
+            } else {
+                channels_[c]->updateWriteDrain();
+            }
+        }
     }
+}
+
+Cycle
+DramSystem::refreshWakes() const
+{
+    Cycle min = kCycleMax;
+    for (unsigned c = 0; c < channels_.size(); ++c) {
+        ChannelWake &w = wakes_[c];
+        if (w.stale) {
+            w.at = channels_[c]->nextWakeCycle(lastMemCycle_);
+            w.stale = false;
+        }
+        min = std::min(min, w.at);
+    }
+    wakeMin_ = min;
+    return min;
 }
 
 Cycle
 DramSystem::nextWakeMemCycle(Cycle mem_now) const
 {
+    // A wake cached at an earlier cycle is what a fresh query returns
+    // at any later cycle below it: every term is either absolute or
+    // max(now + 1, absolute).
+    if (mem_now >= lastMemCycle_) {
+        const Cycle cached = refreshWakes();
+        if (mem_now == lastMemCycle_ || cached > mem_now)
+            return cached;
+    }
     Cycle next = kCycleMax;
     for (const auto &ch : channels_)
         next = std::min(next, ch->nextWakeCycle(mem_now));

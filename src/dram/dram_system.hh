@@ -93,8 +93,22 @@ class DramSystem
      */
     void setRequestTraceSink(RequestTraceSink *sink);
 
-    /** Advance the memory clock up to @p now_tick (call monotonically). */
-    void tick(Cycle now_tick);
+    /**
+     * Advance the memory clock up to @p now_tick (call monotonically).
+     * A catch-up cycle ticks only the channels whose cached wake cycle
+     * has arrived, or that an earlier channel's callback fed within
+     * that cycle; while every wake lies beyond @p now_tick this only
+     * moves the clock.
+     */
+    void
+    tick(Cycle now_tick)
+    {
+        const Cycle target = now_tick / kMemTick;
+        if (target >= wakeMin_)
+            catchUp(target);
+        else if (target > lastMemCycle_)
+            lastMemCycle_ = target;
+    }
 
     /** Earliest tick tick() should next be called at. */
     Cycle nextWakeTick(Cycle now_tick) const;
@@ -103,7 +117,9 @@ class DramSystem
      * Earliest memory cycle any channel could issue a command or change
      * state after @p mem_now (kCycleMax when fully idle). The memory-
      * cycle-domain primitive behind nextWakeTick(); fuzz/differential
-     * harnesses probe this directly.
+     * harnesses probe this directly. Served from the per-channel wake
+     * cache when @p mem_now is the clock tick() last reached. Call it
+     * between ticks, not from a completion callback.
      */
     Cycle nextWakeMemCycle(Cycle mem_now) const;
 
@@ -115,7 +131,8 @@ class DramSystem
     const AddressMapper &mapper() const { return mapper_; }
     const DramGeometry &geometry() const { return mapper_.geometry(); }
     const DramTiming &timing() const { return timing_; }
-    ChannelController &channel(unsigned i) { return *channels_[i]; }
+    /** Read-only: feeding a channel behind the system's back would
+     *  bypass its wake cache. */
     const ChannelController &channel(unsigned i) const
     {
         return *channels_[i];
@@ -159,10 +176,43 @@ class DramSystem
     /// @}
 
   private:
+    /** Cached ChannelController::nextWakeCycle of one channel. */
+    struct ChannelWake
+    {
+        Cycle at = 0;      ///< the wake cycle, unless stale
+        bool stale = true; ///< recompute at lastMemCycle_ before use
+    };
+
+    /** Run the catch-up cycles up to memory cycle @p target. */
+    void catchUp(Cycle target);
+
+    /** Channel @p c was fed, ticked or restored: its wake must be
+     *  recomputed. */
+    void
+    markStale(unsigned c)
+    {
+        wakes_[c].stale = true;
+        wakeMin_ = 0;
+    }
+
+    /** Recompute the stale wakes at lastMemCycle_; returns (and caches
+     *  in wakeMin_) their minimum. */
+    Cycle refreshWakes() const;
+
     DramTiming timing_;
     AddressMapper mapper_;
     std::vector<std::unique_ptr<ChannelController>> channels_;
     Cycle lastMemCycle_ = 0;
+
+    /**
+     * Per-channel wake cache. An entry goes stale only when its
+     * channel is fed, ticks or is restored: nothing else moves a
+     * channel's horizon (DESIGN.md §10, "Wake-driven channels").
+     */
+    mutable std::vector<ChannelWake> wakes_;
+    /** Minimum of wakes_ while none is stale; 0 forces tick() onto the
+     *  catch-up path. */
+    mutable Cycle wakeMin_ = 0;
 
     RequestTraceSink *spanSink_ = nullptr; ///< request-span sink
 

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -133,6 +134,113 @@ struct RunResult
     std::vector<Cycle> migsDone;
     unsigned enqueued = 0;
     unsigned migsInjected = 0;
+    /** Per-cycle run only: cycles on which a migration job deferred to
+     *  queued demand, and on which one closed an open row of its own
+     *  range — the two paths that raise the job's horizon term. */
+    unsigned deferrals = 0;
+    unsigned rangePrecharges = 0;
+};
+
+/**
+ * Spots, from the command stream, the cycles on which the first
+ * not-yet-started job of a bank took the deferral path or the
+ * in-range PRE path of serviceMigrations. Exact, not heuristic:
+ *  - a demand ACT in the job's bank while no reservation holds it
+ *    means every gate before the deferral check was open (the ACT
+ *    itself needs the bank closed, past actAllowedAt and no refresh
+ *    due), so the job only failed to start because it deferred;
+ *  - a PRE of a row in the job's range while the job's gates were
+ *    open and no demand was queued for the bank can only be the job's
+ *    own (a demand or closed-page PRE would need the job to have
+ *    deferred, which takes queued demand, or to be gated).
+ */
+class MigrationPathProbe
+{
+  public:
+    explicit MigrationPathProbe(const DramGeometry &geom)
+        : banksPerRank_(geom.banksPerRank),
+          pending_(geom.ranksPerChannel * geom.banksPerRank),
+          queued_(pending_.size(), 0), free_(pending_.size(), false),
+          gatesOpen_(pending_.size(), false)
+    {
+    }
+
+    void
+    onEnqueue(const DramLoc &loc)
+    {
+        ++queued_[index(loc.rank, loc.bank)];
+    }
+
+    void
+    onMigration(const MigInjection &m)
+    {
+        pending_[index(m.rank, m.bank)].push_back(m);
+    }
+
+    /** Snapshot the gates of every bank's first pending job. */
+    void
+    beforeTick(ChannelController &ctrl, const ControllerConfig &cfg,
+               Cycle now)
+    {
+        for (std::size_t i = 0; i < pending_.size(); ++i) {
+            if (pending_[i].empty())
+                continue;
+            Rank &rank = ctrl.rank(static_cast<unsigned>(i) / banksPerRank_);
+            const Bank &bank =
+                rank.bank(static_cast<unsigned>(i) % banksPerRank_);
+            free_[i] = !bank.reserved(now);
+            gatesOpen_[i] = free_[i] && now >= bank.actAllowedAt() &&
+                            !(cfg.refreshEnabled && rank.refreshDue(now)) &&
+                            queued_[i] == 0;
+        }
+    }
+
+    void
+    onCommand(const CmdRecord &r, RunResult &res)
+    {
+        const std::size_t i = index(r.rank, r.bank);
+        switch (r.cmd) {
+          case DramCommand::RD:
+          case DramCommand::WR:
+            --queued_[i];
+            break;
+          case DramCommand::MIGRATE:
+            pending_[i].pop_front();
+            break;
+          case DramCommand::ACT:
+            if (!pending_[i].empty() && free_[i])
+                ++res.deferrals;
+            break;
+          case DramCommand::PRE:
+            if (!pending_[i].empty() && gatesOpen_[i]) {
+                const MigInjection &m = pending_[i].front();
+                const std::uint64_t lo =
+                    std::min({m.rowLo, m.rowA, m.rowB});
+                const std::uint64_t hi =
+                    std::max({m.rowHi, m.rowA + 1, m.rowB + 1});
+                if (r.row >= lo && r.row < hi && r.row != m.rowA &&
+                    r.row != m.rowB) {
+                    ++res.rangePrecharges;
+                }
+            }
+            break;
+          default:
+            break;
+        }
+    }
+
+  private:
+    std::size_t
+    index(unsigned rank, unsigned bank) const
+    {
+        return static_cast<std::size_t>(rank) * banksPerRank_ + bank;
+    }
+
+    unsigned banksPerRank_;
+    std::vector<std::deque<MigInjection>> pending_; ///< FIFO per bank
+    std::vector<unsigned> queued_; ///< demand requests queued per bank
+    std::vector<bool> free_;       ///< no reservation at the tick
+    std::vector<bool> gatesOpen_;  ///< job's pre-deferral gates open
 };
 
 /**
@@ -151,6 +259,7 @@ runSchedule(const Schedule &sched, const ControllerConfig &cfg,
     ctrl.setCommandSink(&sink);
 
     RunResult res;
+    MigrationPathProbe probe(geom);
     std::size_t ri = 0, mi = 0;
     std::uint64_t next_id = 1;
     Cycle next_wake = 1;
@@ -172,6 +281,7 @@ runSchedule(const Schedule &sched, const ControllerConfig &cfg,
                 res.completions.emplace_back(id, at);
             };
             ctrl.enqueue(std::move(req), now);
+            probe.onEnqueue(in.loc);
             ++res.enqueued;
             injected = true;
         }
@@ -187,6 +297,7 @@ runSchedule(const Schedule &sched, const ControllerConfig &cfg,
             job.rowHi = m.rowHi;
             job.onDone = [&res](Cycle at) { res.migsDone.push_back(at); };
             ctrl.addMigration(std::move(job));
+            probe.onMigration(m);
             ++res.migsInjected;
             injected = true;
         }
@@ -202,10 +313,16 @@ runSchedule(const Schedule &sched, const ControllerConfig &cfg,
         const std::size_t cmds0 = sink.records.size();
         const std::size_t comp0 = res.completions.size();
         const std::size_t migs0 = res.migsDone.size();
+        if (!skip)
+            probe.beforeTick(ctrl, cfg, now);
         ctrl.tick(now);
         const bool activity = sink.records.size() != cmds0 ||
                               res.completions.size() != comp0 ||
                               res.migsDone.size() != migs0;
+        if (!skip) {
+            for (std::size_t k = cmds0; k < sink.records.size(); ++k)
+                probe.onCommand(sink.records[k], res);
+        }
         if (!skip && activity) {
             EXPECT_LE(max_pending, now)
                 << "nextWakeCycle overshot: a horizon claimed nothing "
@@ -297,6 +414,19 @@ TEST_P(HorizonProperty, SkipDrivenRunMatchesPerCycleReference)
         << "reference run did not drain";
     EXPECT_EQ(ref.migsDone.size(), ref.migsInjected);
 
+    // The schedule must reach the two paths that raise a pending
+    // job's horizon term above its bank gates. Deferral needs a
+    // nonzero budget. Under the closed-page policy a bank's row is
+    // closed as soon as no queued request wants it, which in this
+    // sparse traffic is always before a job's tRC gate opens.
+    if (cfg.migrationMaxDefer > 0) {
+        EXPECT_GT(ref.deferrals, 0u) << "no job deferred to demand";
+    }
+    if (cfg.page == PagePolicy::Open) {
+        EXPECT_GT(ref.rangePrecharges, 0u)
+            << "no job closed an open row of its own range";
+    }
+
     EXPECT_EQ(ref.enqueued, fast.enqueued);
     EXPECT_EQ(ref.completions, fast.completions);
     EXPECT_EQ(ref.migsDone, fast.migsDone);
@@ -329,14 +459,15 @@ namespace
 struct DirectedHarness
 {
     explicit DirectedHarness(bool refresh = false,
-                             const RowClassifier *classifier = nullptr)
+                             const RowClassifier *classifier = nullptr,
+                             Cycle max_defer = 0)
         : timing(ddr3_1600Timing()), slowCls(RowClass::Slow)
     {
         // One rank: directed expectations then see a single refresh
         // schedule and no tRRD/tFAW cross-talk.
         geom.ranksPerChannel = 1;
         cfg.refreshEnabled = refresh;
-        cfg.migrationMaxDefer = 0;
+        cfg.migrationMaxDefer = max_defer;
         ctrl = std::make_unique<ChannelController>(
             0, geom, timing, classifier ? *classifier : slowCls, cfg);
         ctrl->setCommandSink(&sink);
@@ -357,6 +488,31 @@ struct DirectedHarness
             completions.emplace_back(id, at);
         };
         ctrl->enqueue(std::move(req), now);
+    }
+
+    /** Queue a swap of rows @p row_a / @p row_b blocking
+     *  [@p row_lo, @p row_hi) of @p bank. */
+    void
+    addSwap(std::uint64_t row_a, std::uint64_t row_b, std::uint64_t row_lo,
+            std::uint64_t row_hi, unsigned bank = 0)
+    {
+        MigrationJob job;
+        job.bank = bank;
+        job.rowA = row_a;
+        job.rowB = row_b;
+        job.rowLo = row_lo;
+        job.rowHi = row_hi;
+        ctrl->addMigration(std::move(job));
+    }
+
+    /** Record four ACTs in rank 0 at cycles 0, tRRD, 2 tRRD, 3 tRRD:
+     *  no demand ACT until tFAW, while migrations (which the rank's
+     *  activate window does not gate) stay free to start. */
+    void
+    fillActivateWindow()
+    {
+        for (unsigned i = 0; i < 4; ++i)
+            ctrl->rank(0).recordActivate(i * timing.tRRD);
     }
 
     /** Skip-step through horizons until @p stop (inclusive). */
@@ -601,4 +757,110 @@ TEST(ReadinessCache, RowClassSelectsColumnWindow)
     slow.enqueueRead(5, 0); // slow slot
     slow.ctrl->tick(1);
     EXPECT_EQ(slow.ctrl->nextWakeCycle(1), 1 + slow.timing.slow.tRCD);
+}
+
+/**
+ * Migration term, unstamped job: it wakes the controller exactly when
+ * its bank's gates open — the end of a refresh's tRFC, or the end of
+ * the reservation an earlier swap of the bank holds — not every cycle.
+ */
+TEST(ReadinessCache, UnstampedMigrationWakesWhenItsBankOpens)
+{
+    DirectedHarness h(/*refresh=*/true);
+    h.runTo(h.timing.tREFI, 1);
+    const Cycle ref_at = h.cmdCycle(DramCommand::REF);
+    ASSERT_EQ(ref_at, h.timing.tREFI);
+
+    // Queued inside the refresh window: actAllowedAt gates the start.
+    h.addSwap(40, 2, 0, 64);
+    const Cycle start1 = ref_at + h.timing.tRFC;
+    EXPECT_EQ(h.ctrl->nextWakeCycle(ref_at + 1), start1);
+    h.runTo(start1, ref_at + 1);
+    ASSERT_EQ(h.cmdCycle(DramCommand::MIGRATE), start1);
+
+    // A second swap of the bank: the reservation end gates it.
+    h.addSwap(41, 3, 0, 64);
+    const Cycle start2 = start1 + h.timing.swapCycles;
+    EXPECT_EQ(h.ctrl->nextWakeCycle(start1 + 1), start2);
+    h.runTo(start2, start1 + 1);
+    EXPECT_EQ(h.cmdCycle(DramCommand::MIGRATE, 2), start2);
+}
+
+/**
+ * Migration term, stamped job deferring to demand in its rows: it
+ * wakes the controller at enqueuedAt + migrationMaxDefer and starts
+ * there, ahead of the still-queued demand read.
+ */
+TEST(ReadinessCache, DeferredMigrationWakesAtItsDeadline)
+{
+    constexpr Cycle kDefer = 10;
+    DirectedHarness h(false, nullptr, kDefer);
+    h.fillActivateWindow();
+    const Cycle now = 3 * h.timing.tRRD + 1;
+    const Cycle act_at = h.timing.tFAW;
+    ASSERT_LT(now + kDefer, act_at);
+
+    h.enqueueRead(10, now);
+    h.addSwap(40, 2, 0, 64);
+    h.ctrl->tick(now); // stamps enqueuedAt = now, then defers
+    ASSERT_EQ(h.sink.records.size(), 0u);
+    EXPECT_EQ(h.ctrl->nextWakeCycle(now), now + kDefer);
+
+    h.runTo(now + kDefer, now + 1);
+    EXPECT_EQ(h.cmdCycle(DramCommand::MIGRATE), now + kDefer);
+    EXPECT_EQ(h.cmdCycle(DramCommand::ACT), kCycleMax);
+}
+
+/**
+ * Migration term, open row inside the job's rows: the job must close
+ * it first, so it wakes the controller at the bank's precharge window
+ * and starts tRP later.
+ */
+TEST(ReadinessCache, OpenRowInMigrationRangeWakesAtPrechargeWindow)
+{
+    DirectedHarness h;
+    h.enqueueRead(10, 0);
+    h.runTo(99, 1);
+    ASSERT_EQ(h.completions.size(), 1u);
+
+    // A late row hit pushes the precharge window past the bank's tRC.
+    h.enqueueRead(10, 100);
+    h.ctrl->tick(100);
+    ASSERT_EQ(h.cmdCycle(DramCommand::RD, 2), 100u);
+    const Bank &bank = h.ctrl->rank(0).bank(0);
+    const Cycle pre_at = bank.preAllowedAt();
+    const Cycle data_at = 100 + h.timing.slow.tCL + h.timing.tBL;
+    ASSERT_GT(pre_at, std::max<Cycle>(101, bank.actAllowedAt()));
+    ASSERT_LT(pre_at, data_at);
+
+    h.addSwap(40, 2, 0, 64);
+    EXPECT_EQ(h.ctrl->nextWakeCycle(100), pre_at);
+    h.runTo(pre_at + h.timing.slow.tRP, 101);
+    EXPECT_EQ(h.cmdCycle(DramCommand::PRE), pre_at);
+    EXPECT_EQ(h.cmdCycle(DramCommand::MIGRATE), pre_at + h.timing.slow.tRP);
+}
+
+/**
+ * Migration term, second job of a bank: it waits for the first to
+ * start and adds no term, even when it would be free to start now.
+ */
+TEST(ReadinessCache, SecondMigrationOfABankAddsNoTerm)
+{
+    constexpr Cycle kDefer = 10;
+    DirectedHarness h(false, nullptr, kDefer);
+    h.fillActivateWindow();
+    const Cycle now = 3 * h.timing.tRRD + 1;
+
+    h.enqueueRead(10, now);
+    h.addSwap(40, 2, 0, 64);    // deferred by the read of row 10
+    h.addSwap(100, 66, 64, 128); // no demand in its rows
+    h.ctrl->tick(now);
+    EXPECT_EQ(h.ctrl->nextWakeCycle(now), now + kDefer);
+
+    h.runTo(now + kDefer, now + 1);
+    ASSERT_EQ(h.cmdCycle(DramCommand::MIGRATE), now + kDefer);
+    const Cycle res_end = now + kDefer + h.timing.swapCycles;
+    EXPECT_EQ(h.ctrl->nextWakeCycle(now + kDefer), res_end);
+    h.runTo(res_end, now + kDefer + 1);
+    EXPECT_EQ(h.cmdCycle(DramCommand::MIGRATE, 2), res_end);
 }

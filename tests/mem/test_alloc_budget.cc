@@ -2,10 +2,11 @@
  * @file
  * Allocation budget of the LLC-miss path. This binary replaces the
  * global operator new with a counting one and asserts that, once warm,
- * the per-miss cycles of the MSHR file, the DAS manager's retry loop
- * and the DRAM system's submit → completion path make no heap
- * allocation (beyond the MemRequest a caller hands in). It is its own
- * executable so the replacement touches no other test.
+ * the per-miss cycles of the MSHR file, the DAS manager's retry loop,
+ * row footprint and promotions, and the DRAM system's submit →
+ * completion path make no heap allocation (beyond the MemRequest each
+ * DRAM access carries). It is its own executable so the replacement
+ * touches no other test.
  */
 
 #include <gtest/gtest.h>
@@ -161,4 +162,109 @@ TEST(AllocBudget, DramSubmitToCompletionIsAllocationFree)
     auto measured = make(2000, 8000);
     EXPECT_EQ(allocationsIn([&] { drive(measured); }), 0u);
     EXPECT_EQ(completed, 10000u);
+}
+
+namespace
+{
+
+/** Drive @p mgr and @p dram one memory cycle at a time until @p done. */
+template <typename Done>
+void
+runUntil(DasManager &mgr, DramSystem &dram, Cycle &now, Done &&done)
+{
+    while (!done()) {
+        now += kMemTick;
+        mgr.tick(now);
+        dram.tick(now);
+    }
+}
+
+} // namespace
+
+/**
+ * The footprint set after the warm-up reset: touching the same rows
+ * again refills it without allocating (the reset keeps its table).
+ */
+TEST(AllocBudget, DasFootprintAfterWarmResetIsAllocationFree)
+{
+    constexpr unsigned kRows = 500;
+    DramGeometry geom;
+    DramTiming timing = ddr3_1600Timing();
+    AsymmetricLayout layout(geom, {});
+    DramSystem dram(geom, timing, layout);
+    DasConfig cfg;
+    cfg.mode = ManagementMode::None; // no table walks: no caches needed
+    DasManager mgr(dram, nullptr, layout, cfg);
+    std::uint64_t completed = 0;
+    mgr.setCompletionHook(
+        [&completed](const Continuation &, Cycle) { ++completed; });
+    Cycle now = 0;
+
+    // One access per row, each run to completion, so no queue or
+    // retry buffer grows inside the counted window.
+    auto touch_rows = [&] {
+        for (unsigned r = 0; r < kRows; ++r) {
+            const std::uint64_t target = completed + 1;
+            mgr.access(static_cast<Addr>(r) * geom.rowBytes, false, 0,
+                       Continuation{}, now);
+            runUntil(mgr, dram, now,
+                     [&] { return completed == target; });
+        }
+    };
+    touch_rows();
+    ASSERT_EQ(mgr.footprintRows(), kRows);
+    mgr.resetStats();
+    ASSERT_EQ(mgr.footprintRows(), 0u);
+    // kRows allocations: each access's MemRequest, nothing else.
+    EXPECT_EQ(allocationsIn(touch_rows), kRows);
+    EXPECT_EQ(mgr.footprintRows(), kRows);
+}
+
+/**
+ * Promote → swap → swap done, over and over: the in-flight swap set,
+ * the controller's migration queue and the job's callback reuse their
+ * storage.
+ */
+TEST(AllocBudget, DasPromotionCycleIsAllocationFree)
+{
+    DramGeometry geom;
+    DramTiming timing = ddr3_1600Timing();
+    AsymmetricLayout layout(geom, {});
+    DramSystem dram(geom, timing, layout);
+    CacheHierarchy caches(1, HierarchyConfig{{1 * KiB, 2, 64},
+                                             {4 * KiB, 4, 64},
+                                             {16 * KiB, 8, 64},
+                                             4,
+                                             12,
+                                             20});
+    DasManager mgr(dram, &caches, layout, DasConfig{});
+    std::uint64_t completed = 0;
+    mgr.setCompletionHook(
+        [&completed](const Continuation &, Cycle) { ++completed; });
+    Cycle now = 0;
+
+    // Eight slow rows of one migration group, accessed round-robin:
+    // seven promotions separate two accesses to the same row, so it
+    // has always been swapped back out and every access promotes.
+    std::vector<Addr> rows;
+    for (std::uint64_t row = 0; rows.size() < 8; ++row) {
+        if (layout.classify(0, 0, 0, row) == RowClass::Slow)
+            rows.push_back(dram.mapper().encode(DramLoc{0, 0, 0, row, 0}));
+    }
+    auto promote = [&](unsigned n) {
+        for (unsigned i = 0; i < n; ++i) {
+            const std::uint64_t target = completed + 1;
+            mgr.access(rows[i % rows.size()], false, 0,
+                       Continuation::coreLoad(0, i), now);
+            runUntil(mgr, dram, now, [&] {
+                return completed == target && !dram.busy();
+            });
+        }
+    };
+    promote(64); // warm: table lines cached, containers grown
+    const std::uint64_t before = mgr.promotions();
+    constexpr unsigned kCycles = 200;
+    // kCycles allocations: each access's MemRequest, nothing else.
+    EXPECT_EQ(allocationsIn([&] { promote(kCycles); }), kCycles);
+    EXPECT_EQ(mgr.promotions() - before, kCycles);
 }

@@ -51,21 +51,14 @@ snapProfile()
     return p;
 }
 
-std::string
-tmpPath(const char *name)
-{
-    return ::testing::TempDir() + name;
-}
-
 /** A checkpoint path no other test process uses: ctest runs each test
  *  on its own and the Snapshot* suite as a whole at the same time, and
  *  the tests below delete and rewrite their files. */
 std::string
 uniqueTmpPath(const std::string &name)
 {
-    const std::string file =
-        name + "_" + std::to_string(::getpid()) + ".ckpt";
-    return tmpPath(file.c_str());
+    return ::testing::TempDir() + name + "_" + std::to_string(::getpid()) +
+           ".ckpt";
 }
 
 /** The complete stats-JSONL dump of a finished system, as a string. */
@@ -104,7 +97,7 @@ runRestored(const SimConfig &cfg, const std::string &path)
 
 TEST(SnapshotDeathTest, TruncatedFileIsFatal)
 {
-    std::string path = tmpPath("snap_trunc.ckpt");
+    std::string path = uniqueTmpPath("snap_trunc");
     SimConfig cfg = snapConfig();
     SyntheticTrace trace(snapProfile(), 1);
     System sys(cfg, {&trace});
@@ -125,11 +118,12 @@ TEST(SnapshotDeathTest, TruncatedFileIsFatal)
     SyntheticTrace t2(snapProfile(), 1);
     System fresh(cfg, {&t2});
     EXPECT_DEATH(fresh.loadSnapshot(path), "truncated checkpoint");
+    std::remove(path.c_str());
 }
 
 TEST(SnapshotDeathTest, WrongMagicIsFatal)
 {
-    std::string path = tmpPath("snap_magic.ckpt");
+    std::string path = uniqueTmpPath("snap_magic");
     // A well-formed envelope of the wrong kind (a stats file, say)
     // must be rejected by magic, not parsed as state.
     std::string err = binfmt::writeEnvelopeFile(
@@ -140,11 +134,12 @@ TEST(SnapshotDeathTest, WrongMagicIsFatal)
     SyntheticTrace trace(snapProfile(), 1);
     System sys(cfg, {&trace});
     EXPECT_DEATH(sys.loadSnapshot(path), "bad magic");
+    std::remove(path.c_str());
 }
 
 TEST(SnapshotDeathTest, FutureVersionIsFatal)
 {
-    std::string path = tmpPath("snap_future.ckpt");
+    std::string path = uniqueTmpPath("snap_future");
     std::string err = binfmt::writeEnvelopeFile(
         path, System::kSnapshotMagic,
         static_cast<std::uint16_t>(System::kSnapshotVersion + 1),
@@ -155,11 +150,12 @@ TEST(SnapshotDeathTest, FutureVersionIsFatal)
     SyntheticTrace trace(snapProfile(), 1);
     System sys(cfg, {&trace});
     EXPECT_DEATH(sys.loadSnapshot(path), "newer than this build");
+    std::remove(path.c_str());
 }
 
 TEST(SnapshotDeathTest, ConfigFingerprintMismatchIsFatal)
 {
-    std::string path = tmpPath("snap_fp.ckpt");
+    std::string path = uniqueTmpPath("snap_fp");
     SimConfig das_cfg = snapConfig(DesignKind::Das);
     SyntheticTrace t1(snapProfile(), 1);
     System das_sys(das_cfg, {&t1});
@@ -172,11 +168,12 @@ TEST(SnapshotDeathTest, ConfigFingerprintMismatchIsFatal)
     System std_sys(std_cfg, {&t2});
     EXPECT_DEATH(std_sys.loadSnapshot(path),
                  "config fingerprint mismatch");
+    std::remove(path.c_str());
 }
 
 TEST(Snapshot, RestoredRunIsBitIdentical)
 {
-    std::string path = tmpPath("snap_mid.ckpt");
+    std::string path = uniqueTmpPath("snap_mid");
     SimConfig cfg = snapConfig();
     std::string straight = runWithCheckpoint(cfg, 200'000, path);
     std::string restored = runRestored(cfg, path);
@@ -186,7 +183,7 @@ TEST(Snapshot, RestoredRunIsBitIdentical)
 
 TEST(Snapshot, RestoreCrossesEngine)
 {
-    std::string path = tmpPath("snap_cross.ckpt");
+    std::string path = uniqueTmpPath("snap_cross");
     SimConfig cfg = snapConfig();
     cfg.engine = SimEngine::Event;
     std::string straight = runWithCheckpoint(cfg, 200'000, path);
@@ -202,7 +199,7 @@ TEST(Snapshot, RestoreCrossesEngine)
 
 TEST(Snapshot, MidEpochCheckpointKeepsEpochAlignment)
 {
-    std::string path = tmpPath("snap_epoch.ckpt");
+    std::string path = uniqueTmpPath("snap_epoch");
     SimConfig cfg = snapConfig();
     cfg.obs.epochMemCycles = 2'000;
     // One epoch is 2000 mem cycles = 30000 ticks; tick 200000 lands
@@ -217,7 +214,7 @@ TEST(Snapshot, MidEpochCheckpointKeepsEpochAlignment)
 
 TEST(Snapshot, WarmupCheckpointSkipsWarmup)
 {
-    std::string path = tmpPath("snap_warm.ckpt");
+    std::string path = uniqueTmpPath("snap_warm");
     SimConfig cfg = snapConfig();
     SyntheticTrace t1(snapProfile(), 1);
     System s1(cfg, {&t1});
